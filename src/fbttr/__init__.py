@@ -12,12 +12,10 @@ from .experiment import ConfigError, EvalReport, ExperimentConfig, build_report,
 from .federated import (
     ClientSession,
     ClientState,
-    ServerState,
     aggregate_block,
     client_deflate,
     client_local_block,
     federated_fit_over,
-    fedavg_reference,
     harmonize_ranks,
     run_federated_fit,
     run_socket_client,

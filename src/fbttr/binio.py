@@ -3,6 +3,11 @@
 Every f64 array is preceded by a u32 element count; tensors carry a u32
 order and one u32 per extent before the data, matrices a u32 row and
 column count.  Array data is row-major float64.
+
+A block is the sequence core tensor, score_core tensor, u32 factor count,
+factor matrices, q matrix, d f64.  ``Writer.block``/``Reader.block`` are
+its only encoder and decoder, so a model file and a wire frame hold the
+same bytes for the same block.
 """
 
 from __future__ import annotations
@@ -31,9 +36,6 @@ class Writer:
     def u32(self, v):
         self.parts.append(struct.pack("<I", v))
 
-    def u64(self, v):
-        self.parts.append(struct.pack("<Q", v))
-
     def f64(self, v):
         self.parts.append(struct.pack("<d", float(v)))
 
@@ -58,6 +60,16 @@ class Writer:
             self.u32(s)
         self.array(t)
 
+    def block(self, b):
+        """Write ``b.core, b.score_core, b.factors, b.q, b.d``."""
+        self.tensor(b.core)
+        self.tensor(b.score_core)
+        self.u32(len(b.factors))
+        for f in b.factors:
+            self.matrix(f)
+        self.matrix(b.q)
+        self.f64(b.d)
+
     def getvalue(self) -> bytes:
         return b"".join(self.parts)
 
@@ -79,9 +91,6 @@ class Reader:
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
 
     def f64(self) -> float:
         return struct.unpack("<d", self.take(8))[0]
@@ -108,6 +117,13 @@ class Reader:
         if a.size != int(np.prod(shape)):
             raise TruncatedError("tensor size mismatch")
         return a.reshape(shape)
+
+    def block(self) -> tuple:
+        """Read ``(core, score_core, factors, q, d)``."""
+        core = self.tensor()
+        score_core = self.tensor()
+        factors = [self.matrix() for _ in range(self.u32())]
+        return core, score_core, factors, self.matrix(), self.f64()
 
     def exhausted(self) -> bool:
         return self.pos == len(self.data)

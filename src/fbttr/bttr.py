@@ -59,6 +59,8 @@ class FitConfig:
             raise ValueError(f"max_blocks must be >= 1, got {self.max_blocks}")
         if not (self.epsilon > 0):
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if self.rank_cap < 1:
+            raise ValueError(f"rank_cap must be >= 1, got {self.rank_cap}")
 
 
 @dataclass
@@ -102,7 +104,8 @@ class Block:
     extent 1), ``score_core`` the scaled core whose vectorisation maps the
     factor-projected residual onto the unit score vector, ``q`` the unit
     response loading and ``d`` the regression coefficient.  ``t`` keeps the
-    training score for diagnostics; a block aggregated from several parties
+    training score for diagnostics; it has one entry per training sample,
+    so a block aggregated from several parties or loaded from a model file
     carries no t.
     """
 

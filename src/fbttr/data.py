@@ -9,7 +9,6 @@ from typing import Optional
 
 import numpy as np
 
-from .bttr import NormStats
 from .tensor import as_tensor, frobenius_norm, multilinear_product
 
 TASKS = ("regression", "binary", "survival")
@@ -55,19 +54,15 @@ class CsvSchema:
 class Dataset:
     """Samples-first predictor tensor with its response matrix.
 
-    For survival tasks ``y`` holds (time, event) pairs.  ``norm_stats`` is
-    populated from training rows only and reused verbatim on test rows;
-    ``stats_source`` records which split produced it.
+    For survival tasks ``y`` holds (time, event) pairs.
     """
 
     x: np.ndarray
     y: np.ndarray
     feature_names: list
     task: str
-    norm_stats: Optional[NormStats] = None
     site_ids: Optional[np.ndarray] = None
     rejected_rows: list = field(default_factory=list)
-    stats_source: Optional[str] = None
 
     def __post_init__(self):
         self.x = as_tensor(self.x, min_order=2)
@@ -90,8 +85,6 @@ class Dataset:
             x=self.x[indices],
             y=self.y[indices],
             site_ids=self.site_ids[indices] if self.site_ids is not None else None,
-            norm_stats=None,
-            stats_source=None,
             rejected_rows=[],
         )
 

@@ -21,7 +21,6 @@ import numpy as np
 from .bttr import Block, BttrModel, FitConfig, FitError, materialize_predictor
 from .sparse_tucker import (
     AceError,
-    HyperGrid,
     SparseTuckerResult,
     ace,
     collapse_response_mode,
@@ -46,10 +45,8 @@ from .wire import (
 
 __all__ = [
     "ClientState",
-    "ServerState",
     "ClientSession",
     "aggregation_weights",
-    "fedavg_reference",
     "harmonize_ranks",
     "truncate_to_ranks",
     "client_local_block",
@@ -72,16 +69,6 @@ class ClientState:
     local_blocks: list = field(default_factory=list)
 
 
-@dataclass
-class ServerState:
-    """Hub-side per-round record."""
-
-    round: int = 0
-    global_blocks: list = field(default_factory=list)
-    target_ranks: tuple = ()
-    client_roster: list = field(default_factory=list)  # (client_id, sample_count)
-
-
 def aggregation_weights(sample_counts) -> np.ndarray:
     counts = np.asarray(sample_counts, dtype=np.float64)
     if counts.size == 0 or np.any(counts <= 0):
@@ -89,18 +76,6 @@ def aggregation_weights(sample_counts) -> np.ndarray:
     w = counts / counts.sum()
     assert abs(w.sum() - 1.0) < 1e-12
     return w
-
-
-def fedavg_reference(updates) -> np.ndarray:
-    """Plain sample-count-weighted average of flat parameter vectors."""
-    if not updates:
-        raise ValueError("no updates to average")
-    vecs = [np.asarray(v, dtype=np.float64).ravel() for v, _ in updates]
-    length = vecs[0].size
-    if any(v.size != length for v in vecs):
-        raise ValueError("parameter vectors must have equal length")
-    w = aggregation_weights([n for _, n in updates])
-    return np.einsum("k,kd->d", w, np.stack(vecs))
 
 
 # ---------------------------------------------------------------------------
@@ -396,13 +371,10 @@ class ClientSession:
 
     def handle(self, msg: Message) -> list:
         if msg.kind == MessageKind.HELLO:
-            p = msg.payload
+            if msg.payload.config is None:
+                raise ProtocolError("hub HELLO carries no training configuration")
             self.state.client_id = msg.client_id
-            self.cfg = FitConfig(
-                max_blocks=p.max_blocks,
-                epsilon=p.epsilon,
-                grid=HyperGrid(snr_values=p.snr_values, tau_values=p.tau_values),
-            )
+            self.cfg = msg.payload.config
             return [self._ace_report(1)]
         if msg.kind == MessageKind.HYPER_ASSIGN:
             try:
@@ -452,7 +424,7 @@ def _recv_expect(transport, cid: int, kinds, rnd: int, max_stale: int = 16) -> M
 
 
 def _handshake(transport, cfg: FitConfig) -> tuple:
-    roster = []
+    """Check every client's HELLO against a shared feature space, then send the config."""
     feature_shape = None
     n_responses = None
     for cid in transport.client_ids():
@@ -467,16 +439,10 @@ def _handshake(transport, cfg: FitConfig) -> tuple:
                 f"client {cid} shapes {p.feature_shape}/{p.n_responses} differ from "
                 f"{feature_shape}/{n_responses}; horizontal federation requires a shared feature space"
             )
-        roster.append((cid, p.sample_count))
-    reply = Hello(
-        max_blocks=cfg.max_blocks,
-        epsilon=cfg.epsilon,
-        snr_values=tuple(cfg.grid.snr_values),
-        tau_values=tuple(cfg.grid.tau_values),
-    )
-    for cid, _ in roster:
+    reply = Hello(config=cfg)
+    for cid in transport.client_ids():
         transport.send(cid, Message(MessageKind.HELLO, 0, cid, reply))
-    return roster, feature_shape, n_responses
+    return feature_shape
 
 
 def _collect_reports(transport, live, rnd: int) -> dict:
@@ -490,14 +456,13 @@ def _collect_reports(transport, live, rnd: int) -> dict:
     return reports
 
 
-def _run_round(transport, live, rnd: int, state: ServerState):
+def _run_round(transport, live, rnd: int):
     """One full round; returns the aggregated block or None when every client skipped."""
     reports = _collect_reports(transport, live, rnd)
     active = {cid: r for cid, r in reports.items() if not r.skip}
     if not active:
         return None
-    target, assignments = harmonize_ranks(active)
-    state.target_ranks = target
+    _, assignments = harmonize_ranks(active)
     for cid in active:
         transport.send(cid, Message(MessageKind.HYPER_ASSIGN, rnd, cid, assignments[cid]))
     updates = []
@@ -513,21 +478,18 @@ def _run_round(transport, live, rnd: int, state: ServerState):
 
 def federated_fit_over(transport, cfg: FitConfig) -> BttrModel:
     """Drive the hub protocol over an already-connected transport."""
-    state = ServerState()
-    roster, feature_shape, _ = _handshake(transport, cfg)
-    state.client_roster = roster
-
+    feature_shape = _handshake(transport, cfg)
+    global_blocks = []
     rnd = 0
     while rnd < cfg.max_blocks:
         rnd += 1
-        state.round = rnd
         live = transport.client_ids()
         if not live:
             raise ProtocolError("all clients dropped out")
         retried = False
         while True:
             try:
-                gb = _run_round(transport, live, rnd, state)
+                gb = _run_round(transport, live, rnd)
                 break
             except ClientDropout as drop:
                 if retried:
@@ -550,7 +512,7 @@ def federated_fit_over(transport, cfg: FitConfig) -> BttrModel:
                         live = [c for c in live if c != cid]
         if gb is None:
             break
-        state.global_blocks.append(gb)
+        global_blocks.append(gb)
         # broadcast and wait at the deflation barrier; the round is committed,
         # so a failure here only excludes that client from future rounds
         for cid in list(live):
@@ -567,17 +529,17 @@ def federated_fit_over(transport, cfg: FitConfig) -> BttrModel:
     for cid in transport.client_ids():
         try:
             transport.send(cid, Message(
-                MessageKind.DONE, state.round, cid, Done(blocks_extracted=len(state.global_blocks))
+                MessageKind.DONE, rnd, cid, Done(blocks_extracted=len(global_blocks))
             ))
         except ClientDropout:
             transport.drop(cid)
 
-    if not state.global_blocks:
+    if not global_blocks:
         raise FitError("no block could be extracted on any client")
     blocks = [
         Block(core=gb.core, factors=list(gb.factors), q=gb.q, d=gb.d,
               score_core=gb.score_core, t=None)
-        for gb in state.global_blocks
+        for gb in global_blocks
     ]
     w, z = materialize_predictor(blocks, feature_shape)
     return BttrModel(blocks=blocks, w=w, z=z, input_shape=tuple(feature_shape))

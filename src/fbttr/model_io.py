@@ -2,7 +2,7 @@
 
 Layout (all integers little-endian):
 
-    magic               8 bytes  b"FBTTRv01"
+    magic               8 bytes  b"FBTTRv02"
     order               u32      number of predictor modes incl. samples
     n_responses         u32
     n_blocks            u32
@@ -10,15 +10,20 @@ Layout (all integers little-endian):
     flags               u8       bit0 normalization, bit1 trace
     [normalization]     arrays x_mean, x_std (feature-shaped, flattened
                         row-major), y_mean, y_std
-    blocks              per block:
+    blocks              per block, the fields a wire block carries:
                           core tensor, score_core tensor,
                           u32 n_factors, factor matrices,
-                          q matrix, d f64,
-                          u8 has_t, [t array]
+                          q matrix, d f64
     w matrix, z matrix
     [trace]             u32 count, then (e, f) f64 pairs
 
-Encoding of arrays, matrices and tensors follows :mod:`fbttr.binio`.
+Encoding of arrays, matrices, tensors and blocks follows :mod:`fbttr.binio`.
+A block's training score ``t`` has one entry per training sample and is
+not stored, so loaded blocks carry ``t=None``.  ``w`` and ``z`` are
+stored although :func:`fbttr.bttr.materialize_predictor` derives them
+from the blocks, because deriving them on load takes about ten times as
+long as reading them.
+Files of other versions, ``FBTTRv01`` included, are rejected.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 from .binio import Reader, TruncatedError, Writer
 from .bttr import Block, BttrModel, NormStats
 
-MAGIC = b"FBTTRv01"
+MAGIC = b"FBTTRv02"
 
 __all__ = ["MAGIC", "ModelFormatError", "model_to_bytes", "model_from_bytes", "save_model", "load_model"]
 
@@ -53,16 +58,7 @@ def model_to_bytes(model: BttrModel) -> bytes:
         w.array(ns.y_mean)
         w.array(ns.y_std)
     for b in model.blocks:
-        w.tensor(b.core)
-        w.tensor(b.score_core)
-        w.u32(len(b.factors))
-        for f in b.factors:
-            w.matrix(f)
-        w.matrix(b.q)
-        w.f64(b.d)
-        w.u8(1 if b.t is not None else 0)
-        if b.t is not None:
-            w.array(b.t)
+        w.block(b)
     w.matrix(model.w)
     w.matrix(model.z)
     if model.trace is not None:
@@ -93,14 +89,8 @@ def model_from_bytes(data: bytes) -> BttrModel:
             normalization = NormStats(x_mean=x_mean, x_std=x_std, y_mean=y_mean, y_std=y_std)
         blocks = []
         for _ in range(n_blocks):
-            core = r.tensor()
-            score_core = r.tensor()
-            n_factors = r.u32()
-            factors = [r.matrix() for _ in range(n_factors)]
-            q = r.matrix()
-            d = r.f64()
-            t = r.array().reshape(-1, 1) if r.u8() else None
-            blocks.append(Block(core=core, factors=factors, q=q, d=d, score_core=score_core, t=t))
+            core, score_core, factors, q, d = r.block()
+            blocks.append(Block(core=core, factors=factors, q=q, d=d, score_core=score_core))
         w = r.matrix()
         z = r.matrix()
         trace = None

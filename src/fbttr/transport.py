@@ -12,7 +12,7 @@ import socket
 import time
 from collections import deque
 
-from .wire import HEADER_LEN, Message, decode_message, encode_message, frame_length
+from .wire import HEADER_LEN, Message, WireError, decode_message, encode_message, frame_length
 
 DEFAULT_ROUND_TIMEOUT = 120.0
 DEFAULT_HEARTBEAT = 5.0
@@ -148,7 +148,11 @@ class SocketChannel:
 
 
 class SocketServerTransport:
-    """Hub side of the TCP transport: one accepted channel per client."""
+    """Hub side of the TCP transport: one accepted channel per client.
+
+    A corrupt frame from a client counts as that client's dropout, like a
+    closed connection or a timeout.
+    """
 
     def __init__(self, channels: dict, round_timeout: float = DEFAULT_ROUND_TIMEOUT):
         self.channels = dict(channels)
@@ -173,10 +177,11 @@ class SocketServerTransport:
             raise ClientDropout(client_id, "already excluded")
         try:
             frame = self.channels[client_id].recv_frame(timeout or self.round_timeout)
-        except (OSError, TimeoutError, ConnectionError) as e:
+            msg = decode_message(frame)
+        except (OSError, TimeoutError, ConnectionError, WireError) as e:
             raise ClientDropout(client_id, str(e)) from e
         self.frames.record("client->server", client_id, frame)
-        return decode_message(frame)
+        return msg
 
     def drain(self, client_id: int, grace: float = 0.05) -> None:
         ch = self.channels.get(client_id)
@@ -185,7 +190,7 @@ class SocketServerTransport:
         while True:
             try:
                 ch.recv_frame(timeout=grace)
-            except (OSError, TimeoutError, ConnectionError):
+            except (OSError, TimeoutError, ConnectionError, WireError):
                 return
 
     def drop(self, client_id: int) -> None:

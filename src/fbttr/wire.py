@@ -1,10 +1,17 @@
 """Wire protocol for federated training.
 
-Frame layout: 4-byte magic ``FBTP``, 1-byte version (0x01), 1-byte message
+Frame layout: 4-byte magic ``FBTP``, 1-byte version (0x02), 1-byte message
 kind, 4-byte little-endian payload length, then the payload.  Every
 payload starts with u32 round and u32 client id; the remaining fields are
 kind-specific, with shapes always preceding data and every f64 array
 preceded by a 4-byte element count.
+
+``HELLO`` travels both ways.  A client's carries its sample count, feature
+shape and response count; the hub's reply carries the whole
+:class:`~fbttr.bttr.FitConfig` after a u8 presence flag: u32 max_blocks,
+f64 epsilon, u32 rank_cap, then the SNR and tau grids as f64 arrays.
+``BLOCK_UPDATE`` and ``GLOBAL_BLOCK`` carry a block in the layout of
+:meth:`fbttr.binio.Writer.block`, the same bytes a model file stores.
 
 Payloads intentionally carry only aggregate quantities: cores, factor
 matrices, response loadings, scalar coefficients, residual norms and
@@ -21,9 +28,11 @@ from typing import Optional
 import numpy as np
 
 from .binio import Reader, TruncatedError, Writer
+from .bttr import FitConfig
+from .sparse_tucker import HyperGrid
 
 MAGIC = b"FBTP"
-VERSION = 1
+VERSION = 2
 HEADER_LEN = 10
 
 __all__ = [
@@ -72,15 +81,12 @@ class ErrorCode(IntEnum):
 
 @dataclass
 class Hello:
-    """Roster entry from a client, or the training configuration echoed back."""
+    """Roster entry from a client, or the hub's reply carrying the training configuration."""
 
     sample_count: int = 0
     feature_shape: tuple = ()
     n_responses: int = 0
-    max_blocks: int = 0
-    epsilon: float = 0.0
-    snr_values: tuple = ()
-    tau_values: tuple = ()
+    config: Optional[FitConfig] = None
 
 
 @dataclass
@@ -145,6 +151,24 @@ class Message:
     payload: object = None
 
 
+def _write_config(w: Writer, cfg: FitConfig) -> None:
+    w.u32(cfg.max_blocks)
+    w.f64(cfg.epsilon)
+    w.u32(cfg.rank_cap)
+    w.array(cfg.grid.snr_values)
+    w.array(cfg.grid.tau_values)
+
+
+def _read_config(r: Reader) -> FitConfig:
+    max_blocks, epsilon, rank_cap = r.u32(), r.f64(), r.u32()
+    snr_values, tau_values = r.array(), r.array()
+    try:
+        return FitConfig(max_blocks=max_blocks, epsilon=epsilon, rank_cap=rank_cap,
+                         grid=HyperGrid(snr_values=snr_values, tau_values=tau_values))
+    except ValueError as e:
+        raise WireError(f"invalid training configuration: {e}") from e
+
+
 def _write_payload(w: Writer, msg: Message) -> None:
     p = msg.payload
     k = msg.kind
@@ -154,10 +178,9 @@ def _write_payload(w: Writer, msg: Message) -> None:
         for s in p.feature_shape:
             w.u32(s)
         w.u32(p.n_responses)
-        w.u32(p.max_blocks)
-        w.f64(p.epsilon)
-        w.array(np.asarray(p.snr_values, dtype=np.float64))
-        w.array(np.asarray(p.tau_values, dtype=np.float64))
+        w.u8(0 if p.config is None else 1)
+        if p.config is not None:
+            _write_config(w, p.config)
     elif k == MessageKind.ACE_REPORT:
         w.u8(1 if p.skip else 0)
         w.f64(p.snr)
@@ -176,21 +199,9 @@ def _write_payload(w: Writer, msg: Message) -> None:
         w.u8(1 if p.skip else 0)
         w.u32(p.n_samples)
         if not p.skip:
-            w.tensor(p.core)
-            w.tensor(p.score_core)
-            w.u32(len(p.factors))
-            for f in p.factors:
-                w.matrix(f)
-            w.matrix(p.q)
-            w.f64(p.d)
+            w.block(p)
     elif k == MessageKind.GLOBAL_BLOCK:
-        w.tensor(p.core)
-        w.tensor(p.score_core)
-        w.u32(len(p.factors))
-        for f in p.factors:
-            w.matrix(f)
-        w.matrix(p.q)
-        w.f64(p.d)
+        w.block(p)
     elif k == MessageKind.DEFLATE_ACK:
         w.f64(p.e_norm)
         w.f64(p.f_norm)
@@ -210,12 +221,8 @@ def _read_payload(r: Reader, kind: MessageKind):
         n_modes = r.u32()
         feature_shape = tuple(r.u32() for _ in range(n_modes))
         n_responses = r.u32()
-        max_blocks = r.u32()
-        epsilon = r.f64()
-        snr_values = tuple(r.array().tolist())
-        tau_values = tuple(r.array().tolist())
-        return Hello(sample_count, feature_shape, n_responses, max_blocks,
-                     epsilon, snr_values, tau_values)
+        config = _read_config(r) if r.u8() else None
+        return Hello(sample_count, feature_shape, n_responses, config)
     if kind == MessageKind.ACE_REPORT:
         skip = bool(r.u8())
         snr, tau, bic = r.f64(), r.f64(), r.f64()
@@ -230,19 +237,9 @@ def _read_payload(r: Reader, kind: MessageKind):
         n_samples = r.u32()
         if skip:
             return BlockUpdate(skip=True, n_samples=n_samples)
-        core = r.tensor()
-        score_core = r.tensor()
-        factors = [r.matrix() for _ in range(r.u32())]
-        q = r.matrix()
-        d = r.f64()
-        return BlockUpdate(False, n_samples, core, score_core, factors, q, d)
+        return BlockUpdate(False, n_samples, *r.block())
     if kind == MessageKind.GLOBAL_BLOCK:
-        core = r.tensor()
-        score_core = r.tensor()
-        factors = [r.matrix() for _ in range(r.u32())]
-        q = r.matrix()
-        d = r.f64()
-        return GlobalBlock(core, score_core, factors, q, d)
+        return GlobalBlock(*r.block())
     if kind == MessageKind.DEFLATE_ACK:
         return DeflateAck(r.f64(), r.f64(), bool(r.u8()))
     if kind == MessageKind.DONE:

@@ -60,6 +60,13 @@ def test_fit_config_rejects_zero_blocks():
         FitConfig(max_blocks=0)
 
 
+def test_fit_config_rejects_rank_cap_below_one():
+    # rank_cap also arrives over the wire, in the hub's HELLO
+    with pytest.raises(ValueError):
+        FitConfig(rank_cap=0)
+    assert FitConfig(rank_cap=1).rank_cap == 1
+
+
 def test_fit_epsilon_above_response_norm_still_extracts_one_block():
     rng = np.random.default_rng(1)
     x, y, _ = plant_blocks(rng, 40, (5, 4), n_blocks=1)

@@ -14,7 +14,6 @@ from fbttr.federated import (
     client_deflate,
     client_local_block,
     federated_fit_over,
-    fedavg_reference,
     harmonize_ranks,
     run_federated_fit,
     run_socket_client,
@@ -33,9 +32,12 @@ from fbttr.wire import (
     AceReport,
     BlockUpdate,
     GlobalBlock,
+    Hello,
     HyperAssign,
+    Message,
     MessageKind,
     decode_message,
+    encode_message,
 )
 
 GRID = HyperGrid(snr_values=(10.0, 25.0), tau_values=(97.0, 100.0))
@@ -78,23 +80,8 @@ def make_update(seed, n_samples=10, sign_flips=(), d=1.0):
 
 
 # ---------------------------------------------------------------------------
-# fedavg reference and weights
+# aggregation weights
 # ---------------------------------------------------------------------------
-
-def test_fedavg_reference_examples():
-    one = fedavg_reference([([1.0, 2.0], 7)])
-    assert np.array_equal(one, [1.0, 2.0])
-    avg = fedavg_reference([([0.0, 0.0], 1), ([2.0, 4.0], 1)])
-    assert np.allclose(avg, [1.0, 2.0])
-    a = fedavg_reference([([1.0, 0.0], 2), ([0.0, 1.0], 2)])
-    b = fedavg_reference([([1.0, 0.0], 1), ([0.0, 1.0], 1)])
-    assert np.allclose(a, b)
-
-
-def test_fedavg_reference_length_mismatch():
-    with pytest.raises(ValueError):
-        fedavg_reference([([1.0, 2.0], 1), ([1.0], 1)])
-
 
 def test_aggregation_weights():
     w = aggregation_weights([1, 3])
@@ -299,18 +286,22 @@ def test_client_deflate_never_increases_f_norm():
 
 def test_single_client_equivalence_every_parameter():
     x, y = make_dataset(20, n=35, shape=(5, 4))
-    central = fit(x, y, CFG)
-    fed = run_federated_fit([(x, y)], CFG)
-    assert fed.n_blocks == central.n_blocks
-    for bc, bf in zip(central.blocks, fed.blocks):
-        assert np.allclose(bc.core, bf.core, atol=1e-8)
-        assert np.allclose(bc.score_core, bf.score_core, atol=1e-8)
-        assert np.allclose(bc.q, bf.q, atol=1e-8)
-        assert bc.d == pytest.approx(bf.d, abs=1e-8)
-        for fc, ff in zip(bc.factors, bf.factors):
-            assert np.allclose(fc, ff, atol=1e-8)
     x_test = np.random.default_rng(21).normal(size=(8, 5, 4))
-    assert np.max(np.abs(predict(central, x_test) - predict(fed, x_test))) < 1e-8
+    capped = FitConfig(max_blocks=2, epsilon=1e-6, rank_cap=3,
+                       grid=HyperGrid(snr_values=(5.0, 20.0, 40.0), tau_values=(95.0, 99.0)))
+    for cfg in (CFG, capped):
+        central = fit(x, y, cfg)
+        fed = run_federated_fit([(x, y)], cfg)
+        assert fed.n_blocks == central.n_blocks
+        for bc, bf in zip(central.blocks, fed.blocks):
+            assert bc.feature_ranks == bf.feature_ranks
+            assert np.allclose(bc.core, bf.core, atol=1e-8)
+            assert np.allclose(bc.score_core, bf.score_core, atol=1e-8)
+            assert np.allclose(bc.q, bf.q, atol=1e-8)
+            assert bc.d == pytest.approx(bf.d, abs=1e-8)
+            for fc, ff in zip(bc.factors, bf.factors):
+                assert np.allclose(fc, ff, atol=1e-8)
+        assert np.max(np.abs(predict(central, x_test) - predict(fed, x_test))) < 1e-8
 
 
 def test_replicated_clients_equal_single_client():
@@ -476,3 +467,42 @@ def test_socket_transport_matches_loopback_bit_for_bit():
         t.join(timeout=120)
     listener.close()
     assert model_to_bytes(result["model"]) == model_to_bytes(loop_model)
+
+
+def test_hub_drops_client_sending_corrupt_frame():
+    # a raw peer, connected first so it is client 0, sends a valid HELLO and
+    # then a frame with garbage magic; the hub retries the round, drops the
+    # peer and trains on the real client alone
+    x, y = make_dataset(72, n=23)
+    alone = run_federated_fit([(x, y)], CFG)
+
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(4)
+    port = listener.getsockname()[1]
+    result = {}
+
+    def server():
+        transport = serve_clients(listener, 2, round_timeout=60)
+        result["model"] = federated_fit_over(transport, CFG)
+        result["live"] = transport.client_ids()
+        transport.close()
+
+    hello = Message(MessageKind.HELLO, 0, 0, Hello(sample_count=29, feature_shape=(4, 3), n_responses=1))
+    raw = socket.create_connection(("127.0.0.1", port))
+    st = threading.Thread(target=server)
+    ct = threading.Thread(target=run_socket_client, args=("127.0.0.1", port, x, y),
+                          kwargs=dict(round_timeout=60))
+    try:
+        raw.sendall(encode_message(hello) + b"XXXX" + bytes(range(60)))
+        st.start()
+        ct.start()
+        st.join(timeout=120)
+        ct.join(timeout=120)
+    finally:
+        raw.close()
+        listener.close()
+    assert not st.is_alive() and not ct.is_alive()
+    assert result["live"] == [1]
+    assert model_to_bytes(result["model"]) == model_to_bytes(alone)

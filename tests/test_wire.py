@@ -1,9 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from fbttr.bttr import FitConfig
+from fbttr.sparse_tucker import HyperGrid
 from fbttr.wire import (
     HEADER_LEN,
     MAGIC,
+    VERSION,
     AceReport,
     BlockUpdate,
     DeflateAck,
@@ -29,8 +34,9 @@ def sample_messages():
     q = rng.normal(size=(2, 1))
     return [
         Message(MessageKind.HELLO, 0, 3, Hello(
-            sample_count=23, feature_shape=(5, 4), n_responses=2,
-            max_blocks=4, epsilon=1e-8, snr_values=(1.0, 5.0), tau_values=(95.0, 100.0))),
+            sample_count=23, feature_shape=(5, 4), n_responses=2, config=FitConfig(
+                max_blocks=4, epsilon=1e-6, rank_cap=3,
+                grid=HyperGrid(snr_values=(1.0, 5.0), tau_values=(95.0, 100.0))))),
         Message(MessageKind.ACE_REPORT, 1, 3, AceReport(
             skip=False, snr=12.0, tau=97.0, bic=-3.25, ranks=(2, 2))),
         Message(MessageKind.ACE_REPORT, 2, 1, AceReport(skip=True)),
@@ -55,13 +61,33 @@ def test_round_trip_byte_identical(msg):
     assert decoded.client_id == msg.client_id
     # a second encode of the decoded message must reproduce the same bytes
     assert encode_message(decoded) == frame
+    if msg.kind == MessageKind.HELLO:
+        assert decoded.payload == msg.payload
+
+
+# SHA-256 of the BLOCK_UPDATE and GLOBAL_BLOCK payloads of sample_messages()
+# as wire version 1 encoded them; version 2 changed only HELLO
+BLOCK_PAYLOAD_SHA256 = {
+    ("BLOCK_UPDATE", 1): "56a6a33bb7f622457d6dd0a453762f08c4fd5000dbed77473b8ac3b5f19a0aee",
+    ("BLOCK_UPDATE", 2): "b4282ad55f30fd1c760106977b5216fc837a44cf6cdeb6dfc98a71940db53b8a",
+    ("GLOBAL_BLOCK", 1): "6ec043f52d1e9903d1da53879bb1f049dd083ccadc12eba208b0106b113d792a",
+}
+
+
+def test_block_payload_bytes_unchanged():
+    got = {
+        (m.kind.name, m.round): hashlib.sha256(encode_message(m)[HEADER_LEN:]).hexdigest()
+        for m in sample_messages()
+        if m.kind in (MessageKind.BLOCK_UPDATE, MessageKind.GLOBAL_BLOCK)
+    }
+    assert got == BLOCK_PAYLOAD_SHA256
 
 
 def test_frame_header_and_length():
     msg = sample_messages()[0]
     frame = encode_message(msg)
     assert frame[:4] == MAGIC
-    assert frame[4] == 1
+    assert frame[4] == VERSION == 2
     assert frame_length(frame[:HEADER_LEN]) == len(frame)
 
 
@@ -82,6 +108,15 @@ def test_decode_rejects_bad_frames():
         decode_message(bytes(bad_kind))
     with pytest.raises(WireError):
         decode_message(frame + b"\x00")
+    # a HELLO whose config FitConfig rejects: rank_cap 3 -> 0; rank_cap follows
+    # round, client id, sample count, 3 shape words, n_responses, the config
+    # flag, max_blocks and epsilon
+    bad_cap = bytearray(encode_message(sample_messages()[0]))
+    cap_at = HEADER_LEN + 7 * 4 + 1 + 4 + 8
+    assert bad_cap[cap_at:cap_at + 4] == (3).to_bytes(4, "little")
+    bad_cap[cap_at] = 0
+    with pytest.raises(WireError):
+        decode_message(bytes(bad_cap))
 
 
 def test_block_update_payload_field_inventory():
