@@ -4,9 +4,10 @@ Training alternates block extraction on the predictor/response residuals
 with rank-one response deflation: each block contributes a unit score
 vector t_k, a response loading q_k and a coefficient d_k = u_k' t_k, and
 is subtracted from both residuals before the next extraction.  Prediction
-is two matrix products, y_hat = unfold(x, 1) @ W @ Z, where the columns of
-W are built so that on the training tensor they reproduce the extracted
-score vectors exactly.
+is two matrix products, y_hat = unfold(x, 1) @ W @ Z, where column k of W,
+vec(score_core_k x_2 P_k2 ... x_N P_kN) less its projections on earlier
+loadings g_j = vec(core_j x_2 P_j2 ... x_N P_jN), reproduces the extracted
+score vector exactly on the training tensor.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .tensor import (
     as_matrix,
     as_tensor,
     frobenius_norm,
-    kron_factors,
     multilinear_product,
     unfold,
     vec,
@@ -38,6 +38,7 @@ __all__ = [
     "residual_trace",
     "select_k_cv",
     "materialize_predictor",
+    "expand",
 ]
 
 
@@ -142,6 +143,15 @@ class BttrModel:
         return predict(self, x_test)
 
 
+def expand(core, factors, t=None) -> np.ndarray:
+    """A block in feature space, ``core x_1 t x_2 P_2 ... x_N P_N`` with
+    ``factors`` = [P_2, ..., P_N]; mode 1 is left alone when ``t`` is None."""
+    fmap = {n + 2: f for n, f in enumerate(factors)}
+    if t is not None:
+        fmap[1] = t
+    return multilinear_product(core, fmap)
+
+
 def materialize_predictor(blocks, input_shape) -> tuple:
     """Build the prediction matrices (W, Z) from a block sequence.
 
@@ -150,9 +160,11 @@ def materialize_predictor(blocks, input_shape) -> tuple:
     earlier blocks' deflation loadings are projected back out to make the
     map exact on the original tensor:
 
-        w_k = raw_k - sum_{j<k} (g_j' raw_k) w_j,   g_j = kron(P_j) vec(core_j)
+        w_k = raw_k - sum_{j<k} (g_j' raw_k) w_j
+        raw_k = vec(score_core_k x_2 P_k2 ...),   g_j = vec(core_j x_2 P_j2 ...)
 
-    Row k of Z is d_k q_k'.
+    Both vectors come from :func:`expand`, never from a Kronecker product
+    of the factors.  Row k of Z is d_k q_k'.
     """
     d_total = int(np.prod(input_shape))
     k = len(blocks)
@@ -161,21 +173,11 @@ def materialize_predictor(blocks, input_shape) -> tuple:
     z = np.zeros((k, m))
     loadings = np.zeros((d_total, k))
     for i, b in enumerate(blocks):
-        kron = kron_factors(b.factors)
-        raw = kron @ vec(b.score_core)
-        loadings[:, i] = kron @ vec(b.core)
-        col = raw.copy()
-        for j in range(i):
-            col -= float(loadings[:, j] @ raw) * w[:, j]
-        w[:, i] = col
+        raw = vec(expand(b.score_core, b.factors))
+        loadings[:, i] = vec(expand(b.core, b.factors))
+        w[:, i] = raw - w[:, :i] @ (loadings[:, :i].T @ raw)
         z[i, :] = b.d * b.q.ravel()
     return w, z
-
-
-def _deflation_map(block: Block) -> dict:
-    fmap = {1: block.t}
-    fmap.update({n + 2: f for n, f in enumerate(block.factors)})
-    return fmap
 
 
 def fit(x, y, cfg: FitConfig, normalization: Optional[NormStats] = None,
@@ -217,7 +219,7 @@ def fit(x, y, cfg: FitConfig, normalization: Optional[NormStats] = None,
         d = float((u.T @ a.t).item())
         block = Block(core=a.block_core, factors=a.factors, q=q, d=d,
                       score_core=a.score_core, t=a.t)
-        e = e - multilinear_product(block.core, _deflation_map(block))
+        e = e - expand(block.core, block.factors, block.t)
         f = f - d * (block.t @ q.T)
         blocks.append(block)
         trace.append((frobenius_norm(e), frobenius_norm(f)))

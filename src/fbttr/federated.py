@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bttr import Block, BttrModel, FitConfig, FitError, materialize_predictor
+from .bttr import Block, BttrModel, FitConfig, FitError, expand, materialize_predictor
 from .sparse_tucker import (
     AceError,
     SparseTuckerResult,
@@ -56,6 +56,8 @@ __all__ = [
     "run_federated_fit",
     "run_socket_client",
 ]
+
+MAX_STALE_FRAMES = 16  # frames from aborted rounds a hub read skips before giving up
 
 
 @dataclass
@@ -191,9 +193,7 @@ def client_deflate(state: ClientState, gb: GlobalBlock) -> tuple:
         return state, ack
     u = f @ gb.q
     d_local = float((u.T @ t).item())
-    fmap = {1: t}
-    fmap.update({n + 2: fac for n, fac in enumerate(gb.factors)})
-    new_e = e - multilinear_product(local_core, fmap)
+    new_e = e - expand(local_core, gb.factors, t)
     new_f = f - d_local * (t @ gb.q.T)
     state = replace(
         state,
@@ -412,9 +412,9 @@ class ClientSession:
 # hub orchestration
 # ---------------------------------------------------------------------------
 
-def _recv_expect(transport, cid: int, kinds, rnd: int, max_stale: int = 16) -> Message:
+def _recv_expect(transport, cid: int, kinds, rnd: int) -> Message:
     """Next message of an expected kind, discarding stale frames from aborted rounds."""
-    for _ in range(max_stale):
+    for _ in range(MAX_STALE_FRAMES):
         msg = transport.recv(cid)
         if msg.kind in kinds and msg.round == rnd:
             return msg
@@ -423,12 +423,27 @@ def _recv_expect(transport, cid: int, kinds, rnd: int, max_stale: int = 16) -> M
     raise ProtocolError(f"client {cid} flooded unexpected messages")
 
 
+def _send_or_drop(transport, cid: int, msg: Message) -> None:
+    """Send ``msg``; a client that cannot take it leaves the federation."""
+    try:
+        transport.send(cid, msg)
+    except ClientDropout:
+        transport.drop(cid)
+
+
 def _handshake(transport, cfg: FitConfig) -> tuple:
-    """Check every client's HELLO against a shared feature space, then send the config."""
+    """Check every client's HELLO against a shared feature space, then send the config.
+
+    A client that drops out here leaves the federation; one whose shapes differ ends it.
+    """
     feature_shape = None
     n_responses = None
     for cid in transport.client_ids():
-        msg = _recv_expect(transport, cid, {MessageKind.HELLO}, 0)
+        try:
+            msg = _recv_expect(transport, cid, {MessageKind.HELLO}, 0)
+        except ClientDropout:
+            transport.drop(cid)
+            continue
         if msg.kind != MessageKind.HELLO:
             raise ProtocolError(f"client {cid} failed handshake")
         p = msg.payload
@@ -441,7 +456,9 @@ def _handshake(transport, cfg: FitConfig) -> tuple:
             )
     reply = Hello(config=cfg)
     for cid in transport.client_ids():
-        transport.send(cid, Message(MessageKind.HELLO, 0, cid, reply))
+        _send_or_drop(transport, cid, Message(MessageKind.HELLO, 0, cid, reply))
+    if not transport.client_ids():
+        raise ProtocolError("all clients dropped out")
     return feature_shape
 
 
@@ -499,27 +516,19 @@ def federated_fit_over(transport, cfg: FitConfig) -> BttrModel:
                         raise ProtocolError("all clients dropped out") from drop
                 retried = True
                 for cid in live:
-                    if cid == drop.client_id and drop.client_id not in transport.client_ids():
-                        continue
-                    try:
-                        transport.drain(cid)
-                        transport.send(cid, Message(
-                            MessageKind.ERROR, rnd, cid,
-                            ProtocolErrorInfo(code=int(ErrorCode.RETRY_ROUND), detail="round aborted"),
-                        ))
-                    except ClientDropout:
-                        transport.drop(cid)
-                        live = [c for c in live if c != cid]
+                    transport.drain(cid)
+                    _send_or_drop(transport, cid, Message(
+                        MessageKind.ERROR, rnd, cid,
+                        ProtocolErrorInfo(code=int(ErrorCode.RETRY_ROUND), detail="round aborted"),
+                    ))
+                live = [cid for cid in live if cid in transport.client_ids()]
         if gb is None:
             break
         global_blocks.append(gb)
         # broadcast and wait at the deflation barrier; the round is committed,
         # so a failure here only excludes that client from future rounds
-        for cid in list(live):
-            try:
-                transport.send(cid, Message(MessageKind.GLOBAL_BLOCK, rnd, cid, gb))
-            except ClientDropout:
-                transport.drop(cid)
+        for cid in live:
+            _send_or_drop(transport, cid, Message(MessageKind.GLOBAL_BLOCK, rnd, cid, gb))
         for cid in transport.client_ids():
             try:
                 _recv_expect(transport, cid, {MessageKind.DEFLATE_ACK}, rnd)
@@ -527,12 +536,9 @@ def federated_fit_over(transport, cfg: FitConfig) -> BttrModel:
                 transport.drop(cid)
 
     for cid in transport.client_ids():
-        try:
-            transport.send(cid, Message(
-                MessageKind.DONE, rnd, cid, Done(blocks_extracted=len(global_blocks))
-            ))
-        except ClientDropout:
-            transport.drop(cid)
+        _send_or_drop(transport, cid, Message(
+            MessageKind.DONE, rnd, cid, Done(blocks_extracted=len(global_blocks))
+        ))
 
     if not global_blocks:
         raise FitError("no block could be extracted on any client")
@@ -545,20 +551,15 @@ def federated_fit_over(transport, cfg: FitConfig) -> BttrModel:
     return BttrModel(blocks=blocks, w=w, z=z, input_shape=tuple(feature_shape))
 
 
-def run_federated_fit(clients, cfg: FitConfig, transport=None) -> BttrModel:
-    """Train a global model across client datasets.
+def run_federated_fit(clients, cfg: FitConfig) -> BttrModel:
+    """Train a global model across in-process client datasets over the loopback transport.
 
-    ``clients`` is a sequence of (x, y) pairs sharing feature and response
-    spaces.  Without an explicit transport the clients run in-process over
-    the loopback transport; passing a connected server transport ignores
-    ``clients`` and drives the remote peers instead.
+    ``clients`` is a sequence of (x, y) pairs sharing feature and response spaces.
     """
-    if transport is None:
-        if not clients:
-            raise ValueError("need at least one client")
-        sessions = {cid: ClientSession(cid, x, y) for cid, (x, y) in enumerate(clients)}
-        transport = LoopbackTransport(sessions)
-    return federated_fit_over(transport, cfg)
+    if not clients:
+        raise ValueError("need at least one client")
+    sessions = {cid: ClientSession(cid, x, y) for cid, (x, y) in enumerate(clients)}
+    return federated_fit_over(LoopbackTransport(sessions), cfg)
 
 
 def run_socket_client(host: str, port: int, x, y,

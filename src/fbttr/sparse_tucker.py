@@ -27,6 +27,7 @@ from .tensor import (
 )
 
 DEFAULT_RANK_CAP = 10
+SWEEP_TOL = 1e-6  # relative core change at which f_mpstd_cov stops
 
 __all__ = [
     "DecompositionError",
@@ -137,12 +138,13 @@ def _leading_vectors(m: np.ndarray, r: int) -> np.ndarray:
     return _fix_signs(u[:, :r])
 
 
-def _project_core(c: np.ndarray, mats: list) -> np.ndarray:
-    return multilinear_product(c, {n + 1: m.T for n, m in enumerate(mats)})
-
-
-def _others_projection(c: np.ndarray, mats: list, skip: int) -> np.ndarray:
-    return multilinear_product(c, {n + 1: m.T for n, m in enumerate(mats) if n != skip})
+def _hooi_sweep(c: np.ndarray, mats: list, ranks) -> tuple:
+    """One alternating pass over every mode: the new factors and their projected core."""
+    mats = list(mats)
+    for n in range(c.ndim):
+        others = {m + 1: a.T for m, a in enumerate(mats) if m != n}
+        mats[n] = _leading_vectors(unfold(multilinear_product(c, others), n + 1), ranks[n])
+    return mats, multilinear_product(c, {m + 1: a.T for m, a in enumerate(mats)})
 
 
 def hooi_init(c, max_ranks) -> SparseTuckerResult:
@@ -171,14 +173,11 @@ def hooi_init(c, max_ranks) -> SparseTuckerResult:
     mats = [_leading_vectors(unfold(c, n + 1), ranks[n]) for n in range(c.ndim)]
     prev_norm = None
     for _ in range(100):
-        for n in range(c.ndim):
-            proj = _others_projection(c, mats, skip=n)
-            mats[n] = _leading_vectors(unfold(proj, n + 1), ranks[n])
-        core_norm = frobenius_norm(_project_core(c, mats))
+        mats, core = _hooi_sweep(c, mats, ranks)
+        core_norm = frobenius_norm(core)
         if prev_norm is not None and abs(core_norm - prev_norm) < 1e-8:
             break
         prev_norm = core_norm
-    core = _project_core(c, mats)
     return SparseTuckerResult(core=core, q=mats[0], factors=mats[1:], snr=math.inf, tau=100.0)
 
 
@@ -264,12 +263,7 @@ def prune(result: SparseTuckerResult, tau: float) -> SparseTuckerResult:
 
 def _hooi_refresh(c: np.ndarray, result: SparseTuckerResult) -> SparseTuckerResult:
     # one alternating pass at the current (possibly pruned) ranks
-    ranks = result.ranks
-    mats = [result.q] + list(result.factors)
-    for n in range(c.ndim):
-        proj = _others_projection(c, mats, skip=n)
-        mats[n] = _leading_vectors(unfold(proj, n + 1), ranks[n])
-    core = _project_core(c, mats)
+    mats, core = _hooi_sweep(c, [result.q] + list(result.factors), result.ranks)
     return replace(result, core=core, q=mats[0], factors=mats[1:])
 
 
@@ -279,7 +273,6 @@ def f_mpstd_cov(
     tau: float,
     rank_cap: int = DEFAULT_RANK_CAP,
     max_sweeps: int = 200,
-    tol: float = 1e-6,
     init: SparseTuckerResult = None,
 ) -> SparseTuckerResult:
     """Sparse Tucker decomposition of a covariance tensor ``c``.
@@ -287,7 +280,7 @@ def f_mpstd_cov(
     Starts from HOOI at full ranks capped at ``rank_cap`` per mode, then
     alternates SNR-derived soft thresholding of the core with tau pruning
     and an orthogonal factor refresh until the sparse core stabilises
-    (relative change below ``tol``) or ``max_sweeps`` elapse.  A
+    (relative change below :data:`SWEEP_TOL`) or ``max_sweeps`` elapse.  A
     non-converged run returns the last iterate with ``converged=False``.
     """
     c = as_tensor(c)
@@ -307,7 +300,7 @@ def f_mpstd_cov(
         if prev_core is not None and prev_core.shape == pruned.core.shape:
             denom = frobenius_norm(prev_core)
             delta = frobenius_norm(pruned.core - prev_core)
-            if delta <= tol * denom or (denom == 0.0 and delta == 0.0):
+            if delta <= SWEEP_TOL * denom or (denom == 0.0 and delta == 0.0):
                 return replace(pruned, converged=True)
         prev_core = pruned.core
         res = _hooi_refresh(c, pruned)

@@ -11,7 +11,8 @@ remaining mode varying fastest.  Under this convention
 
     unfold(G x1 A1 x2 A2 ... xN AN, 1) = A1 @ unfold(G, 1) @ kron(AN, ..., A2).T
 
-which is the identity the regression predictor construction relies on.
+The regression predictor is built with mode products; this identity, with
+:func:`kron_factors` on the right, is the reference tests check it against.
 """
 
 from __future__ import annotations

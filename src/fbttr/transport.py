@@ -16,6 +16,7 @@ from .wire import HEADER_LEN, Message, WireError, decode_message, encode_message
 
 DEFAULT_ROUND_TIMEOUT = 120.0
 DEFAULT_HEARTBEAT = 5.0
+DRAIN_GRACE = 0.05  # seconds drain waits for one more stale frame
 
 __all__ = [
     "TransportError",
@@ -183,13 +184,13 @@ class SocketServerTransport:
         self.frames.record("client->server", client_id, frame)
         return msg
 
-    def drain(self, client_id: int, grace: float = 0.05) -> None:
+    def drain(self, client_id: int) -> None:
         ch = self.channels.get(client_id)
         if ch is None:
             return
         while True:
             try:
-                ch.recv_frame(timeout=grace)
+                ch.recv_frame(timeout=DRAIN_GRACE)
             except (OSError, TimeoutError, ConnectionError, WireError):
                 return
 

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fbttr.bttr import (
+    Block,
     FitConfig,
     FitError,
     NormStats,
@@ -11,8 +14,8 @@ from fbttr.bttr import (
     residual_trace,
     select_k_cv,
 )
-from fbttr.sparse_tucker import HyperGrid
-from fbttr.tensor import frobenius_norm, kron_factors, multilinear_product, unfold
+from fbttr.sparse_tucker import HyperGrid, SparseTuckerResult, finalize_block
+from fbttr.tensor import frobenius_norm, kron_factors, multilinear_product, unfold, vec
 
 SMALL_GRID = HyperGrid(snr_values=(10.0, 25.0, 40.0), tau_values=(95.0, 99.0, 100.0))
 
@@ -167,12 +170,58 @@ def test_fit_zero_data_raises_fit_error():
         fit(np.zeros((10, 4, 3)), np.zeros((10, 1)), FitConfig(max_blocks=1, grid=SMALL_GRID))
 
 
-def test_w_columns_reproduce_training_scores():
+def random_orthonormal(rng, rows, cols):
+    q, _ = np.linalg.qr(rng.normal(size=(rows, cols)))
+    return q
+
+
+@pytest.mark.parametrize("feature_shape", [(7,), (6, 4), (5, 4, 3)],
+                         ids=["order2", "order3", "order4"])
+def test_w_columns_reproduce_training_scores(feature_shape):
+    # three blocks extracted by deflation, with feature ranks that differ
+    # per mode and per block, so a mode or row-order mix-up in W shows
     rng = np.random.default_rng(11)
-    x, y, _ = plant_blocks(rng, 40, (6, 4), n_blocks=2, noise=0.05)
-    model = fit(x, y, FitConfig(max_blocks=2, grid=SMALL_GRID))
-    t_mat = np.column_stack([b.t.ravel() for b in model.blocks])
-    assert np.max(np.abs(unfold(x, 1) @ model.w - t_mat)) < 1e-8
+    x = rng.normal(size=(40,) + feature_shape)
+    e = x.copy()
+    blocks = []
+    for k in range(3):
+        ranks = tuple(min(ext, 1 + (k + n) % 3) for n, ext in enumerate(feature_shape))
+        factors = [random_orthonormal(rng, ext, r) for ext, r in zip(feature_shape, ranks)]
+        res = SparseTuckerResult(core=rng.normal(size=(1,) + ranks), q=np.ones((1, 1)),
+                                 factors=factors, snr=0.0, tau=100.0)
+        t, core, score_core = finalize_block(e, res)
+        fmap = {1: t}
+        fmap.update({n + 2: f for n, f in enumerate(factors)})
+        e = e - multilinear_product(core, fmap)
+        blocks.append(Block(core=core, factors=factors, q=np.ones((1, 1)), d=1.0,
+                            score_core=score_core, t=t))
+    w, _ = materialize_predictor(blocks, feature_shape)
+    t_mat = np.column_stack([b.t.ravel() for b in blocks])
+    assert np.max(np.abs(unfold(x, 1) @ w - t_mat)) < 1e-8
+    for b in blocks:
+        raw = materialize_predictor([b], feature_shape)[0][:, 0]
+        ref = kron_factors(b.factors) @ vec(b.score_core)
+        assert np.max(np.abs(raw - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_materialize_predictor_forms_no_kronecker_product():
+    # two rank-(10,10,10) blocks over 32x16x20 features: the Kronecker
+    # product of one block's factors alone is 10240 x 1000 doubles (78 MiB)
+    rng = np.random.default_rng(15)
+    shape, ranks = (32, 16, 20), (10, 10, 10)
+    blocks = [
+        Block(core=rng.normal(size=(1,) + ranks),
+              factors=[random_orthonormal(rng, ext, r) for ext, r in zip(shape, ranks)],
+              q=np.ones((1, 1)), d=1.0, score_core=rng.normal(size=(1,) + ranks))
+        for _ in range(2)
+    ]
+    tracemalloc.start()
+    try:
+        materialize_predictor(blocks, shape)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_select_k_cv_planted_single_block():

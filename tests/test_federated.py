@@ -436,6 +436,14 @@ def test_heterogeneous_feature_shapes_rejected():
         run_federated_fit([a, b], CFG)
 
 
+def test_hub_without_any_hello_raises_protocol_error():
+    x, y = make_dataset(62)
+    hub = LoopbackTransport({0: ClientSession(0, x, y)})
+    hub.drain(0)  # the only session's HELLO never reaches the hub
+    with pytest.raises(ProtocolError, match="all clients dropped out"):
+        federated_fit_over(hub, CFG)
+
+
 def test_socket_transport_matches_loopback_bit_for_bit():
     clients = [make_dataset(70, n=23), make_dataset(71, n=29)]
     loop_model = run_federated_fit(clients, CFG)
@@ -469,10 +477,12 @@ def test_socket_transport_matches_loopback_bit_for_bit():
     assert model_to_bytes(result["model"]) == model_to_bytes(loop_model)
 
 
-def test_hub_drops_client_sending_corrupt_frame():
-    # a raw peer, connected first so it is client 0, sends a valid HELLO and
-    # then a frame with garbage magic; the hub retries the round, drops the
-    # peer and trains on the real client alone
+@pytest.mark.parametrize("says_hello", [True, False], ids=["after-hello", "instead-of-hello"])
+def test_hub_drops_client_sending_corrupt_frame(says_hello):
+    # a raw peer, connected first so it is client 0, sends a frame with
+    # garbage magic, either after a valid HELLO (the hub retries the round,
+    # then drops it) or in its place (the handshake drops it); either way
+    # the hub trains on the real client alone
     x, y = make_dataset(72, n=23)
     alone = run_federated_fit([(x, y)], CFG)
 
@@ -495,7 +505,8 @@ def test_hub_drops_client_sending_corrupt_frame():
     ct = threading.Thread(target=run_socket_client, args=("127.0.0.1", port, x, y),
                           kwargs=dict(round_timeout=60))
     try:
-        raw.sendall(encode_message(hello) + b"XXXX" + bytes(range(60)))
+        first = encode_message(hello) if says_hello else b""
+        raw.sendall(first + b"XXXX" + bytes(range(60)))
         st.start()
         ct.start()
         st.join(timeout=120)
