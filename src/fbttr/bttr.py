@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .sparse_tucker import AceError, HyperGrid, ace
+from .sparse_tucker import DEFAULT_RANK_CAP, AceError, HyperGrid, ace
 from .tensor import (
     as_matrix,
     as_tensor,
@@ -53,7 +53,7 @@ class FitConfig:
     max_blocks: int = 5
     epsilon: float = 1e-8
     grid: HyperGrid = field(default_factory=HyperGrid)
-    rank_cap: int = 10
+    rank_cap: int = DEFAULT_RANK_CAP
 
     def __post_init__(self):
         if self.max_blocks < 1:

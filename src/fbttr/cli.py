@@ -13,23 +13,23 @@ import socket
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .bttr import FitConfig, FitError, NormStats, fit, predict, residual_trace, select_k_cv
-from .data import CsvSchema, DataError, Dataset, load_csv, load_npz, make_synthetic, save_npz
+from .bttr import FitConfig, FitError, fit, predict, residual_trace
+from .data import DataError, Dataset, load_feature_csv, make_synthetic, save_npz
 from .experiment import (
     ConfigError,
     ExperimentConfig,
     build_report,
+    fit_config,
+    load_dataset,
+    parse_grid,
+    read_config_file,
     read_metrics_csv,
     run_experiment,
-    _parse_range,
-    _target_matrix,
+    training_view,
 )
 from .federated import federated_fit_over, run_socket_client
 from .model_io import ModelFormatError, load_model, save_model
-from .sparse_tucker import HyperGrid
-from .transport import ProtocolError, TransportError, serve_clients
+from .transport import DEFAULT_ROUND_TIMEOUT, ProtocolError, TransportError, serve_clients
 from .wire import WireError
 
 EXIT_OK = 0
@@ -40,31 +40,9 @@ EXIT_DATA = 4
 __all__ = ["main"]
 
 
-def _schema_from_args(args) -> CsvSchema:
-    if not args.response:
-        raise ConfigError("response", "required for CSV data")
-    return CsvSchema(
-        response=[c.strip() for c in args.response.split(",")],
-        task=args.task,
-        event_col=args.event_col or None,
-        site_col=args.site_col or None,
-    )
-
-
-def _load_any(path: str, args) -> Dataset:
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"{path}: no such file")
-    if p.suffix == ".npz":
-        return load_npz(p)
-    return load_csv(p, _schema_from_args(args))
-
-
-def _grid_from_args(args) -> HyperGrid:
-    return HyperGrid(
-        snr_values=_parse_range(args.grid_snr, "grid_snr"),
-        tau_values=_parse_range(args.grid_tau, "grid_tau"),
-    )
+def _load_data(args) -> Dataset:
+    response = [c.strip() for c in args.response.split(",") if c.strip()]
+    return load_dataset(args.data, response, args.task, args.event_col, args.site_col)
 
 
 def _host_port(text: str) -> tuple:
@@ -83,29 +61,19 @@ def _add_schema_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--blocks", type=int, default=2, help="number of blocks K")
-    p.add_argument("--epsilon", type=float, default=1e-8, help="residual stop threshold")
-    p.add_argument("--grid-snr", default="1:50:1", help="SNR grid start:stop[:step]")
-    p.add_argument("--grid-tau", default="90:100:1", help="tau grid start:stop[:step]")
-
-
-def _prepare_training(ds: Dataset):
-    target = _target_matrix(ds)
-    stats = NormStats.from_training(ds.x, target, scale_y=ds.task != "binary")
-    return stats.apply_x(ds.x), stats.apply_y(target), stats
+    p.add_argument("--epsilon", type=float, default=FitConfig.epsilon, help="residual stop threshold")
+    p.add_argument("--grid-snr", default=ExperimentConfig.grid_snr, help="SNR grid start:stop[:step]")
+    p.add_argument("--grid-tau", default=ExperimentConfig.grid_tau, help="tau grid start:stop[:step]")
 
 
 def cmd_fit(args) -> int:
-    ds = _load_any(args.data, args)
-    x, y, stats = _prepare_training(ds)
-    grid = _grid_from_args(args)
+    ds = _load_data(args)
+    x, y, stats = training_view(ds)
+    cfg = fit_config(x, y, ds.task, args.blocks, args.epsilon,
+                     parse_grid(args.grid_snr, args.grid_tau),
+                     folds=args.folds if args.cv else None)
     if args.cv:
-        search = FitConfig(max_blocks=args.blocks, epsilon=args.epsilon, grid=grid)
-        cv_task = "binary" if ds.task == "binary" else "regression"
-        k = select_k_cv(x, y, search, folds=args.folds, task=cv_task)
-        print(f"cross-validation selected K={k}")
-    else:
-        k = args.blocks
-    cfg = FitConfig(max_blocks=k, epsilon=args.epsilon, grid=grid)
+        print(f"cross-validation selected K={cfg.max_blocks}")
     model = fit(x, y, cfg, normalization=stats)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -120,9 +88,10 @@ def cmd_fit(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    ds = _load_any(args.data, args) if args.response or args.data.endswith(".npz") \
-        else _load_csv_features_only(args.data, model)
-    x = ds.x
+    if args.response or args.data.endswith(".npz"):
+        x = _load_data(args).x
+    else:
+        x = load_feature_csv(args.data, model.input_shape)
     if model.normalization is not None:
         x = model.normalization.apply_x(x)
     scores = predict(model, x)
@@ -138,27 +107,9 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _load_csv_features_only(path: str, model) -> Dataset:
-    # prediction-only CSVs need no response column; all columns are features
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r]
-    if len(rows) < 2:
-        raise DataError(f"{path}: no data rows")
-    header, body = rows[0], rows[1:]
-    try:
-        x = np.array([[float(v) for v in row] for row in body])
-    except ValueError as e:
-        raise DataError(f"{path}: non-numeric feature value ({e})") from e
-    expected = int(np.prod(model.input_shape))
-    if x.shape[1] != expected:
-        raise DataError(f"{path}: model expects {expected} features, file has {x.shape[1]}")
-    x = x.reshape((x.shape[0],) + tuple(model.input_shape))
-    return Dataset(x=x, y=np.zeros((x.shape[0], 1)), feature_names=header, task="regression")
-
-
 def cmd_federate(args) -> int:
-    grid = _grid_from_args(args)
-    cfg = FitConfig(max_blocks=args.blocks, epsilon=args.epsilon, grid=grid)
+    cfg = FitConfig(max_blocks=args.blocks, epsilon=args.epsilon,
+                    grid=parse_grid(args.grid_snr, args.grid_tau))
     if args.role == "server":
         host, port = _host_port(args.listen)
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -166,8 +117,7 @@ def cmd_federate(args) -> int:
         listener.bind((host, port))
         listener.listen(args.clients)
         print(f"listening on {host}:{listener.getsockname()[1]} for {args.clients} client(s)")
-        transport = serve_clients(listener, args.clients,
-                                  round_timeout=args.round_timeout, heartbeat=args.heartbeat)
+        transport = serve_clients(listener, args.clients, round_timeout=args.round_timeout)
         try:
             model = federated_fit_over(transport, cfg)
         finally:
@@ -182,12 +132,10 @@ def cmd_federate(args) -> int:
     # client role
     if not args.data:
         raise ConfigError("data", "client role requires --data")
-    ds = _load_any(args.data, args)
-    x, y, _ = _prepare_training(ds)
+    x, y, _ = training_view(_load_data(args))
     host, port = _host_port(args.connect)
     try:
-        state = run_socket_client(host, port, x, y,
-                                  round_timeout=args.round_timeout, heartbeat=args.heartbeat)
+        state = run_socket_client(host, port, x, y, round_timeout=args.round_timeout)
     except OSError as e:
         raise ProtocolError(f"cannot reach server at {host}:{port}: {e}") from e
     print(f"client finished after {len(state.local_blocks)} block(s)")
@@ -195,25 +143,11 @@ def cmd_federate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    if args.config:
-        cfg = ExperimentConfig.from_file(args.config)
-    else:
-        cfg = ExperimentConfig()
-    overrides = {}
-    if args.mode:
-        overrides["mode"] = tuple(m.strip() for m in args.mode.split(","))
-    if args.clients is not None:
-        overrides["clients"] = args.clients
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.blocks is not None:
-        overrides["blocks"] = args.blocks
-    if args.epsilon is not None:
-        overrides["epsilon"] = args.epsilon
-    if args.out:
-        overrides["out"] = args.out
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
+    mapping = read_config_file(args.config) if args.config else {}
+    for key in ("mode", "clients", "seed", "blocks", "epsilon", "out"):
+        if getattr(args, key) is not None:
+            mapping[key] = getattr(args, key)
+    cfg = ExperimentConfig.from_mapping(mapping)
     report = run_experiment(cfg)
     for (method, metric), (mu, sd) in sorted(report.summary.items()):
         print(f"{method:>16} {metric:<10} {mu:.4f} +/- {sd:.4f}")
@@ -277,8 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_schema_flags(p)
     _add_fit_flags(p)
     p.add_argument("--cv", action="store_true", help="select K by cross-validation up to --blocks")
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--folds", type=int, default=ExperimentConfig.folds)
     p.add_argument("--out", default="fbttr-out")
     p.set_defaults(func=cmd_fit)
 
@@ -297,19 +230,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", default="", help="client dataset (CSV or NPZ)")
     _add_schema_flags(p)
     _add_fit_flags(p)
-    p.add_argument("--heartbeat", type=float, default=5.0, help="liveness poll interval, seconds")
-    p.add_argument("--round-timeout", type=float, default=120.0, help="per-round timeout, seconds")
+    p.add_argument("--round-timeout", type=float, default=DEFAULT_ROUND_TIMEOUT,
+                   help="per-round timeout, seconds")
     p.add_argument("--out", default="fbttr-out")
     p.set_defaults(func=cmd_federate)
 
+    # each override flag is the config key of the same name, parsed like it
     p = sub.add_parser("experiment", help="run a configured experiment")
     p.add_argument("--config", default="", help="flat key=value config file")
-    p.add_argument("--mode", default="", help="override: centralized,federated,hybrid,local")
-    p.add_argument("--clients", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--blocks", default=None, help="override: K or 'cv'")
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--out", default="")
+    p.add_argument("--mode", help="override: centralized,federated,hybrid,local")
+    p.add_argument("--clients")
+    p.add_argument("--seed")
+    p.add_argument("--blocks", help="override: K or 'cv'")
+    p.add_argument("--epsilon")
+    p.add_argument("--out")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("synth", help="generate a planted-component synthetic dataset")

@@ -20,6 +20,7 @@ __all__ = [
     "SyntheticTruth",
     "PartitionPlan",
     "load_csv",
+    "load_feature_csv",
     "load_npz",
     "save_npz",
     "make_synthetic",
@@ -39,7 +40,6 @@ class CsvSchema:
     task: str = "regression"
     event_col: Optional[str] = None
     site_col: Optional[str] = None
-    feature_cols: Optional[list] = None
 
     def __post_init__(self):
         if isinstance(self.response, str):
@@ -126,13 +126,7 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
 
     col_of = {name: header.index(name) for name in header}
     special = set(schema.response) | ({schema.event_col, schema.site_col} - {None})
-    if schema.feature_cols is not None:
-        unknown = [c for c in schema.feature_cols if c not in header]
-        if unknown:
-            raise DataError(f"{path}: missing feature columns {unknown}")
-        feature_cols = list(schema.feature_cols)
-    else:
-        feature_cols = [h for h in header if h not in special]
+    feature_cols = [h for h in header if h not in special]
     if not feature_cols:
         raise DataError(f"{path}: no feature columns left after removing declared columns")
 
@@ -187,6 +181,22 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
         site_ids = np.array([row[col_of[schema.site_col]] for row in kept], dtype=object)
     return Dataset(x=x, y=y, feature_names=names, task=schema.task,
                    site_ids=site_ids, rejected_rows=rejected)
+
+
+def load_feature_csv(path, input_shape) -> np.ndarray:
+    """Samples-first tensor of ``input_shape`` from a CSV of numeric feature columns only."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [r for r in csv.reader(fh) if r]
+    if len(rows) < 2:
+        raise DataError(f"{path}: no data rows")
+    try:
+        x = np.array([[float(v) for v in row] for row in rows[1:]])
+    except ValueError as e:
+        raise DataError(f"{path}: non-numeric feature value ({e})") from e
+    expected = int(np.prod(input_shape))
+    if x.shape[1] != expected:
+        raise DataError(f"{path}: model expects {expected} features, file has {x.shape[1]}")
+    return x.reshape((x.shape[0],) + tuple(input_shape))
 
 
 def load_npz(path) -> Dataset:

@@ -1,10 +1,14 @@
 """Experiment driver: centralized / federated / hybrid / local runs with
 block-wise evaluation, repeated seeds and paired significance reporting.
 
-A run consumes a flat key=value config (CLI flags may override), executes
-the requested modes on a train/test split, scores five contiguous
-non-overlapping test blocks per repetition, and writes the fitted models,
-a metrics table and a JSON report next to a copy of the resolved config.
+A run consumes a flat key=value config (CLI flags are keys of the same
+mapping), executes the requested modes on a train/test split, scores five
+contiguous non-overlapping test blocks per repetition, and writes the
+fitted models, a metrics table and a JSON report next to a copy of the
+resolved config.  :func:`run_experiment` and the ``fbttr fit`` and
+``fbttr federate`` commands prepare a fit through the same functions:
+:func:`load_dataset`, :func:`parse_grid`, :func:`training_view` and
+:func:`fit_config`.
 """
 
 from __future__ import annotations
@@ -30,6 +34,11 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "EvalReport",
+    "load_dataset",
+    "parse_grid",
+    "training_view",
+    "fit_config",
+    "read_config_file",
     "run_experiment",
     "build_report",
     "read_metrics_csv",
@@ -57,6 +66,28 @@ def _parse_range(text: str, field_name: str) -> tuple:
     return tuple(start + i * step for i in range(count))
 
 
+def parse_grid(snr_text: str, tau_text: str) -> HyperGrid:
+    """The SNR x tau grid of two ``start:stop[:step]`` ranges."""
+    return HyperGrid(
+        snr_values=_parse_range(snr_text, "grid_snr"),
+        tau_values=_parse_range(tau_text, "grid_tau"),
+    )
+
+
+def read_config_file(path) -> dict:
+    """The key=value pairs of a flat config file; blank and ``#`` lines are skipped."""
+    mapping = {}
+    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {i}", f"expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        mapping[key.strip()] = value.strip()
+    return mapping
+
+
 @dataclass
 class ExperimentConfig:
     mode: tuple = ("centralized",)
@@ -73,9 +104,9 @@ class ExperimentConfig:
     partition: str = "iid"
     pooled_clients: tuple = ()
     blocks: str = "2"
-    max_blocks: int = 5
+    max_blocks: int = FitConfig.max_blocks
     folds: int = 5
-    epsilon: float = 1e-8
+    epsilon: float = FitConfig.epsilon
     grid_snr: str = "1:50:1"
     grid_tau: str = "90:100:1"
     seed: int = 7
@@ -125,16 +156,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        mapping = {}
-        for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"line {i}", f"expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            mapping[key.strip()] = value.strip()
-        return cls.from_mapping(mapping)
+        return cls.from_mapping(read_config_file(path))
 
     def validate(self) -> "ExperimentConfig":
         for m in self.mode:
@@ -169,15 +191,11 @@ class ExperimentConfig:
             raise ConfigError("pooled_clients", "hybrid mode requires an explicit pooled-client list")
         if self.partition not in ("iid", "label_skew", "by_column"):
             raise ConfigError("partition", f"unknown scheme {self.partition!r}")
-        _parse_range(self.grid_snr, "grid_snr")
-        _parse_range(self.grid_tau, "grid_tau")
+        self.hyper_grid()
         return self
 
     def hyper_grid(self) -> HyperGrid:
-        return HyperGrid(
-            snr_values=_parse_range(self.grid_snr, "grid_snr"),
-            tau_values=_parse_range(self.grid_tau, "grid_tau"),
-        )
+        return parse_grid(self.grid_snr, self.grid_tau)
 
     def resolved_text(self) -> str:
         lines = []
@@ -222,13 +240,39 @@ class EvalReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _target_matrix(ds: Dataset) -> np.ndarray:
-    """Training target in regression form for the given task."""
-    if ds.task == "survival":
-        # risk regression on negated observed time; censoring enters only
-        # through the evaluation metric
-        return -ds.y[:, :1]
-    return ds.y
+def load_dataset(path, response, task: str = "regression", event_col: str = "",
+                 site_col: str = "") -> Dataset:
+    """Load an ``.npz`` dataset, or a CSV whose response column names are ``response``."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"{path}: no such file")
+    if path.suffix == ".npz":
+        return load_npz(path)
+    if not response:
+        raise ConfigError("response", "required for CSV data")
+    return load_csv(path, CsvSchema(list(response), task, event_col or None, site_col or None))
+
+
+def training_view(ds: Dataset) -> tuple:
+    """``(x, y, stats)``: training rows ``ds`` normalised by their own statistics.
+
+    A survival task regresses on negated observed time (censoring enters only
+    through the evaluation metric); binary responses keep their 0/1 scale.
+    """
+    target = -ds.y[:, :1] if ds.task == "survival" else ds.y
+    stats = NormStats.from_training(ds.x, target, scale_y=ds.task != "binary")
+    return stats.apply_x(ds.x), stats.apply_y(target), stats
+
+
+def fit_config(x, y, task: str, blocks: int, epsilon: float, grid: HyperGrid,
+               folds=None) -> FitConfig:
+    """Training configuration with K = ``blocks``, or, when ``folds`` is given,
+    the K up to ``blocks`` that ``folds``-fold cross-validation on (x, y) selects."""
+    cfg = FitConfig(max_blocks=blocks, epsilon=epsilon, grid=grid)
+    if folds is None:
+        return cfg
+    cv_task = "binary" if task == "binary" else "regression"
+    return replace(cfg, max_blocks=select_k_cv(x, y, cfg, folds, task=cv_task))
 
 
 def _score_block(task: str, pred: np.ndarray, y_block: np.ndarray) -> dict:
@@ -255,16 +299,7 @@ def _load_dataset(cfg: ExperimentConfig, seed: int) -> Dataset:
             task=cfg.task,
         )
         return ds
-    path = Path(cfg.data)
-    if path.suffix == ".npz":
-        return load_npz(path)
-    schema = CsvSchema(
-        response=list(cfg.response),
-        task=cfg.task,
-        event_col=cfg.event_col or None,
-        site_col=cfg.site_col or None,
-    )
-    return load_csv(path, schema)
+    return load_dataset(cfg.data, cfg.response, cfg.task, cfg.event_col, cfg.site_col)
 
 
 def _fit_models(cfg: ExperimentConfig, mode: str, train: Dataset, fit_cfg: FitConfig,
@@ -316,20 +351,14 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
         train = ds.subset(np.arange(n_train))
         test = ds.subset(np.arange(n_train, n))
 
-        target_train = _target_matrix(train)
-        scale_y = ds.task != "binary"
-        stats = NormStats.from_training(train.x, target_train, scale_y=scale_y)
-        train_norm = replace(train, x=stats.apply_x(train.x), y=stats.apply_y(target_train))
+        x_train, y_train, stats = training_view(train)
+        train_norm = replace(train, x=x_train, y=y_train)
         x_test = stats.apply_x(test.x)
 
-        grid = cfg.hyper_grid()
-        if cfg.blocks == "cv":
-            search_cfg = FitConfig(max_blocks=cfg.max_blocks, epsilon=cfg.epsilon, grid=grid)
-            cv_task = "binary" if ds.task == "binary" else "regression"
-            k = select_k_cv(train_norm.x, train_norm.y, search_cfg, cfg.folds, task=cv_task)
-        else:
-            k = int(cfg.blocks)
-        fit_cfg = FitConfig(max_blocks=k, epsilon=cfg.epsilon, grid=grid)
+        cv = cfg.blocks == "cv"
+        fit_cfg = fit_config(x_train, y_train, ds.task,
+                             cfg.max_blocks if cv else int(cfg.blocks), cfg.epsilon,
+                             cfg.hyper_grid(), folds=cfg.folds if cv else None)
 
         block_ids = np.array_split(np.arange(test.n_samples), cfg.test_blocks)
         for mode in cfg.mode:

@@ -28,7 +28,7 @@ from .sparse_tucker import (
     finalize_block,
 )
 from .tensor import as_matrix, as_tensor, frobenius_norm, multilinear_product, unfold
-from .transport import ClientDropout, LoopbackTransport, ProtocolError, SocketChannel
+from .transport import DEFAULT_ROUND_TIMEOUT, ClientDropout, LoopbackTransport, ProtocolError, SocketChannel
 from .wire import (
     AceReport,
     BlockUpdate,
@@ -431,6 +431,14 @@ def _send_or_drop(transport, cid: int, msg: Message) -> None:
         transport.drop(cid)
 
 
+def _roster(transport) -> list:
+    """Ids of the clients still in the federation; none left ends it."""
+    live = transport.client_ids()
+    if not live:
+        raise ProtocolError("all clients dropped out")
+    return live
+
+
 def _handshake(transport, cfg: FitConfig) -> tuple:
     """Check every client's HELLO against a shared feature space, then send the config.
 
@@ -457,8 +465,7 @@ def _handshake(transport, cfg: FitConfig) -> tuple:
     reply = Hello(config=cfg)
     for cid in transport.client_ids():
         _send_or_drop(transport, cid, Message(MessageKind.HELLO, 0, cid, reply))
-    if not transport.client_ids():
-        raise ProtocolError("all clients dropped out")
+    _roster(transport)
     return feature_shape
 
 
@@ -500,34 +507,27 @@ def federated_fit_over(transport, cfg: FitConfig) -> BttrModel:
     rnd = 0
     while rnd < cfg.max_blocks:
         rnd += 1
-        live = transport.client_ids()
-        if not live:
-            raise ProtocolError("all clients dropped out")
         retried = False
         while True:
             try:
-                gb = _run_round(transport, live, rnd)
+                gb = _run_round(transport, _roster(transport), rnd)
                 break
             except ClientDropout as drop:
                 if retried:
                     transport.drop(drop.client_id)
-                    live = [cid for cid in live if cid != drop.client_id]
-                    if not live:
-                        raise ProtocolError("all clients dropped out") from drop
                 retried = True
-                for cid in live:
+                for cid in transport.client_ids():
                     transport.drain(cid)
                     _send_or_drop(transport, cid, Message(
                         MessageKind.ERROR, rnd, cid,
                         ProtocolErrorInfo(code=int(ErrorCode.RETRY_ROUND), detail="round aborted"),
                     ))
-                live = [cid for cid in live if cid in transport.client_ids()]
         if gb is None:
             break
         global_blocks.append(gb)
         # broadcast and wait at the deflation barrier; the round is committed,
         # so a failure here only excludes that client from future rounds
-        for cid in live:
+        for cid in transport.client_ids():
             _send_or_drop(transport, cid, Message(MessageKind.GLOBAL_BLOCK, rnd, cid, gb))
         for cid in transport.client_ids():
             try:
@@ -563,13 +563,13 @@ def run_federated_fit(clients, cfg: FitConfig) -> BttrModel:
 
 
 def run_socket_client(host: str, port: int, x, y,
-                      round_timeout: float = 120.0, heartbeat: float = 5.0) -> ClientState:
+                      round_timeout: float = DEFAULT_ROUND_TIMEOUT) -> ClientState:
     """Connect to a hub and participate until the protocol completes."""
     import socket as _socket
 
     sock = _socket.create_connection((host, port))
     sock.setsockopt(_socket.IPPROTO_TCP, _socket.TCP_NODELAY, 1)
-    channel = SocketChannel(sock, heartbeat=heartbeat)
+    channel = SocketChannel(sock)
     session = ClientSession(0, x, y)
     try:
         channel.send(session.hello())

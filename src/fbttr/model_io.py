@@ -28,6 +28,8 @@ Files of other versions, ``FBTTRv01`` included, are rejected.
 
 from __future__ import annotations
 
+from math import prod
+
 from .binio import Reader, TruncatedError, Writer
 from .bttr import Block, BttrModel, NormStats
 
@@ -101,8 +103,8 @@ def model_from_bytes(data: bytes) -> BttrModel:
         raise ModelFormatError(str(e)) from e
     if not r.exhausted():
         raise ModelFormatError(f"{len(data) - r.pos} trailing bytes")
-    if n_responses != z.shape[1]:
-        raise ModelFormatError("response count mismatch")
+    if w.shape != (prod(input_shape), n_blocks) or z.shape != (n_blocks, n_responses):
+        raise ModelFormatError(f"W {w.shape} or Z {z.shape} does not fit the header")
     return BttrModel(blocks=blocks, w=w, z=z, input_shape=input_shape,
                      normalization=normalization, trace=trace)
 

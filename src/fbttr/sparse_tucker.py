@@ -93,9 +93,8 @@ class SparseTuckerResult:
     def ranks(self) -> tuple:
         return tuple(self.core.shape)
 
-    def factor_map(self, transpose: bool = False) -> dict:
-        all_mats = [self.q] + list(self.factors)
-        return {n + 1: (m.T if transpose else m) for n, m in enumerate(all_mats)}
+    def factor_map(self) -> dict:
+        return {n + 1: m for n, m in enumerate([self.q] + list(self.factors))}
 
     def reconstruct(self) -> np.ndarray:
         return multilinear_product(self.core, self.factor_map())

@@ -15,7 +15,6 @@ from collections import deque
 from .wire import HEADER_LEN, Message, WireError, decode_message, encode_message, frame_length
 
 DEFAULT_ROUND_TIMEOUT = 120.0
-DEFAULT_HEARTBEAT = 5.0
 DRAIN_GRACE = 0.05  # seconds drain waits for one more stale frame
 
 __all__ = [
@@ -105,9 +104,8 @@ class LoopbackTransport:
 class SocketChannel:
     """Length-prefixed frame channel over a stream socket."""
 
-    def __init__(self, sock: socket.socket, heartbeat: float = DEFAULT_HEARTBEAT):
+    def __init__(self, sock: socket.socket):
         self.sock = sock
-        self.heartbeat = heartbeat
         self._buffer = b""
 
     def send(self, msg: Message) -> bytes:
@@ -120,7 +118,7 @@ class SocketChannel:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise TimeoutError("frame read timed out")
-            self.sock.settimeout(min(self.heartbeat, remaining))
+            self.sock.settimeout(remaining)
             try:
                 chunk = self.sock.recv(65536)
             except socket.timeout:
@@ -206,12 +204,11 @@ class SocketServerTransport:
 
 
 def serve_clients(listener: socket.socket, n_clients: int,
-                  round_timeout: float = DEFAULT_ROUND_TIMEOUT,
-                  heartbeat: float = DEFAULT_HEARTBEAT) -> SocketServerTransport:
+                  round_timeout: float = DEFAULT_ROUND_TIMEOUT) -> SocketServerTransport:
     """Accept ``n_clients`` connections; ids are assigned in accept order."""
     channels = {}
     for cid in range(n_clients):
         sock, _ = listener.accept()
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        channels[cid] = SocketChannel(sock, heartbeat=heartbeat)
+        channels[cid] = SocketChannel(sock)
     return SocketServerTransport(channels, round_timeout=round_timeout)

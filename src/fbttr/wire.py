@@ -275,19 +275,13 @@ def frame_length(header: bytes) -> int:
 
 
 def decode_message(data: bytes) -> Message:
-    if len(data) < HEADER_LEN:
-        raise WireError("frame too short")
-    if data[:4] != MAGIC:
-        raise WireError(f"bad magic {data[:4]!r}")
-    if data[4] != VERSION:
-        raise WireError(f"unsupported version {data[4]}")
+    total = frame_length(data[:HEADER_LEN])
+    if total != len(data):
+        raise WireError(f"frame length mismatch: header says {total}, have {len(data)}")
     try:
         kind = MessageKind(data[5])
     except ValueError as e:
         raise WireError(f"unknown message kind {data[5]}") from e
-    payload_len = int.from_bytes(data[6:10], "little")
-    if HEADER_LEN + payload_len != len(data):
-        raise WireError(f"frame length mismatch: header says {payload_len}, have {len(data) - HEADER_LEN}")
     r = Reader(data, pos=HEADER_LEN)
     try:
         rnd = r.u32()

@@ -2,9 +2,13 @@ import csv
 import socket
 import threading
 
+import pytest
+
+from fbttr.bttr import FitConfig, fit
 from fbttr.cli import EXIT_CONFIG, EXIT_DATA, main
 from fbttr.data import load_npz
-from fbttr.model_io import load_model
+from fbttr.experiment import fit_config, parse_grid, training_view
+from fbttr.model_io import load_model, model_to_bytes
 
 
 def run_cli(*argv):
@@ -57,6 +61,24 @@ def test_fit_and_predict_round_trip(tmp_path):
     assert len(rows) == 51
 
 
+@pytest.mark.parametrize("cv", [False, True], ids=["fixed-k", "cv"])
+def test_fit_writes_the_model_of_the_shared_preparation(tmp_path, cv):
+    data = tmp_path / "data.npz"
+    run_cli("synth", "--out", str(data), "--shape", "50x5x4", "--blocks", "2",
+            "--snr-db", "25", "--seed", "6")
+    out = tmp_path / "run"
+    argv = ["fit", "--data", str(data), "--blocks", "2",
+            "--grid-snr", "15:35:20", "--grid-tau", "97:100:3", "--out", str(out)]
+    assert run_cli(*(argv + ["--cv", "--folds", "3"] if cv else argv)) == 0
+
+    ds = load_npz(data)
+    x, y, stats = training_view(ds)
+    cfg = fit_config(x, y, ds.task, 2, FitConfig.epsilon, parse_grid("15:35:20", "97:100:3"),
+                     folds=3 if cv else None)
+    expected = model_to_bytes(fit(x, y, cfg, normalization=stats))
+    assert (out / "model.fbttr").read_bytes() == expected
+
+
 def test_fit_missing_file_exit_code(tmp_path):
     code = run_cli("fit", "--data", str(tmp_path / "nope.csv"), "--response", "y")
     assert code == EXIT_DATA
@@ -107,6 +129,27 @@ def test_experiment_cli_with_config(tmp_path):
     assert (tmp_path / "out" / "metrics.csv").exists()
 
 
+def test_experiment_flags_override_config_keys(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "\n".join([
+            "mode=federated", "clients=2", "blocks=2", "seed=3",
+            "synth_shape=60x5x4", "synth_blocks=1", "synth_snr_db=25",
+            "grid_snr=15:35:20", "grid_tau=97:100:3", "seeds=1", "test_blocks=3",
+            f"out={tmp_path / 'from_file'}",
+        ]) + "\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "from_flags"
+    code = run_cli("experiment", "--config", str(cfg), "--mode", "centralized",
+                   "--blocks", "1", "--seed", "4", "--out", str(out))
+    assert code == 0
+    resolved = (out / "resolved_config.txt").read_text(encoding="utf-8").splitlines()
+    for line in ("mode=centralized", "blocks=1", "seed=4", f"out={out}", "clients=2"):
+        assert line in resolved
+    assert not (tmp_path / "from_file").exists()
+
+
 def test_experiment_cli_bad_config_exit_code(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("mode=warp_drive\n", encoding="utf-8")
@@ -116,7 +159,6 @@ def test_experiment_cli_bad_config_exit_code(tmp_path):
 def test_report_merges_metrics(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
-    base = ["experiment", "--mode", "centralized", "--blocks", "1"]
     cfg_lines = [
         "synth_shape=60x5x4", "synth_blocks=1", "synth_snr_db=25",
         "grid_snr=15:35:20", "grid_tau=97:100:3", "seeds=1", "seed=3",

@@ -178,23 +178,22 @@ def test_metrics_csv_round_trip(tmp_path):
 
 
 def test_normalization_stats_use_training_rows_only(tmp_path):
-    # the leakage guard: statistics computed on train+test must differ from
-    # the training-only statistics whenever the test rows shift the moments
+    # the leakage guard: the saved model's statistics are those of the
+    # training rows, never of the pooled train+test rows
     cfg = fast_config(tmp_path, seeds="1")
     run_experiment(cfg)
     from fbttr.data import make_synthetic
+    from fbttr.model_io import load_model
 
+    saved = load_model(tmp_path / "out" / "model_centralized.fbttr").normalization
     ds, _ = make_synthetic((60, 5, 4), n_blocks=1, noise_snr_db=25.0, seed=3)
     n_train = int(round(0.6 * 60))
-    # shift the test rows so pooled statistics cannot match training ones
-    x_shifted = ds.x.copy()
-    x_shifted[n_train:] += 5.0
-    train_stats = NormStats.from_training(x_shifted[:n_train], ds.y[:n_train])
-    pooled_stats = NormStats.from_training(x_shifted, ds.y)
-    assert not np.allclose(train_stats.x_mean, pooled_stats.x_mean)
-    normalized_test_train_stats = train_stats.apply_x(x_shifted[n_train:])
-    normalized_test_pooled = pooled_stats.apply_x(x_shifted[n_train:])
-    assert not np.allclose(normalized_test_train_stats, normalized_test_pooled)
+    train_stats = NormStats.from_training(ds.x[:n_train], ds.y[:n_train])
+    pooled_stats = NormStats.from_training(ds.x, ds.y)
+    for name in ("x_mean", "x_std", "y_mean", "y_std"):
+        assert np.array_equal(getattr(saved, name), getattr(train_stats, name))
+    assert not np.allclose(saved.x_mean, pooled_stats.x_mean)
+    assert not np.allclose(saved.y_std, pooled_stats.y_std)
 
 
 def test_cv_block_selection_runs(tmp_path):

@@ -389,6 +389,33 @@ def test_permanent_dropout_excludes_client():
     assert transport.client_ids() == [0]
 
 
+def test_every_client_dropping_during_retry_raises_protocol_error():
+    # one round-2 report read fails, then every RETRY_ROUND send fails, so
+    # no client is left to run the round again
+    class RetryKillsAllTransport(LoopbackTransport):
+        failed_once = False
+
+        def recv(self, client_id, timeout=None):
+            msg = super().recv(client_id, timeout)
+            if msg.kind == MessageKind.ACE_REPORT and msg.round == 2 and not self.failed_once:
+                self.failed_once = True
+                raise ClientDropout(client_id, "injected report failure")
+            return msg
+
+        def send(self, client_id, msg):
+            if msg.kind == MessageKind.ERROR:
+                raise ClientDropout(client_id, "injected send failure")
+            super().send(client_id, msg)
+
+    clients = [make_dataset(57), make_dataset(58)]
+    sessions = {cid: ClientSession(cid, x, y) for cid, (x, y) in enumerate(clients)}
+    transport = RetryKillsAllTransport(sessions)
+    with pytest.raises(ProtocolError, match="all clients dropped out"):
+        federated_fit_over(transport, CFG)
+    assert transport.failed_once
+    assert transport.client_ids() == []
+
+
 def test_client_error_excluded_for_the_round():
     class FailingSession(ClientSession):
         def handle(self, msg):

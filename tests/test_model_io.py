@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,19 @@ def test_truncated_data_rejected():
         model_from_bytes(data[:-4])
     with pytest.raises(ModelFormatError):
         model_from_bytes(data + b"\x00")
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda m: replace(m, w=m.w[:, :1], z=m.z[:1]),
+    lambda m: replace(m, w=np.vstack([m.w, np.zeros((1, m.w.shape[1]))])),
+], ids=["one-block-predictor", "extra-feature-row"])
+def test_predictor_must_fit_the_blocks(corrupt):
+    # W and Z are stored beside the blocks; a file whose W or Z disagree
+    # with the header's block count or feature shape is not a model
+    model, _ = fitted_model()
+    assert model.n_blocks == 2
+    with pytest.raises(ModelFormatError):
+        model_from_bytes(model_to_bytes(corrupt(model)))
 
 
 def test_file_round_trip(tmp_path):
