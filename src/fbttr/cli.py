@@ -108,9 +108,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_federate(args) -> int:
-    cfg = FitConfig(max_blocks=args.blocks, epsilon=args.epsilon,
-                    grid=parse_grid(args.grid_snr, args.grid_tau))
     if args.role == "server":
+        cfg = FitConfig(max_blocks=args.blocks, epsilon=args.epsilon,
+                        grid=parse_grid(args.grid_snr, args.grid_tau))
         host, port = _host_port(args.listen)
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)

@@ -164,8 +164,8 @@ class ExperimentConfig:
                 raise ConfigError("mode", f"{m!r} not in {MODES}")
         if not self.mode:
             raise ConfigError("mode", "at least one mode required")
-        if self.data != "synth" and not self.response:
-            raise ConfigError("response", "required when loading a data file")
+        if self.data != "synth" and Path(self.data).suffix != ".npz" and not self.response:
+            raise ConfigError("response", "required for CSV data")
         if self.task not in ("regression", "binary", "survival"):
             raise ConfigError("task", f"unknown task {self.task!r}")
         if self.task == "survival" and self.data != "synth" and not self.event_col:

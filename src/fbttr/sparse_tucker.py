@@ -33,6 +33,7 @@ __all__ = [
     "DecompositionError",
     "AceError",
     "HyperGrid",
+    "GridSearch",
     "SparseTuckerResult",
     "AceResult",
     "hooi_init",
@@ -266,6 +267,55 @@ def _hooi_refresh(c: np.ndarray, result: SparseTuckerResult) -> SparseTuckerResu
     return replace(result, core=core, q=mats[0], factors=mats[1:])
 
 
+def _refresh_key(result: SparseTuckerResult) -> tuple:
+    # with c fixed, the ranks fix the shape of q and of every factor
+    return result.ranks, b"".join(m.tobytes() for m in [result.q] + list(result.factors))
+
+
+class GridSearch:
+    """What the grid cells of one :func:`ace` call share: ``c``, its HOOI start
+    and the factor refreshes of the current and the previous SNR row.
+
+    A refresh depends only on ``c`` and the incoming ``q`` and factors, so a
+    cell whose trajectory reaches factors an earlier cell refreshed reuses
+    that result, keyed on their exact shapes and bytes: the result is
+    bit-identical to recomputing it.  A hit moves the entry into the
+    current row; :meth:`start_row` drops what the row before last left.
+    An entry keeps the refreshed core, q and factors in one flat array, as
+    a noise block can hold hundreds of entries and per-array overhead
+    would rival the data.
+    """
+
+    def __init__(self, c: np.ndarray, rank_cap: int):
+        self.c = c
+        self.init = hooi_init(c, [min(ext, rank_cap) for ext in c.shape])
+        self.row, self.last_row = {}, {}
+
+    def start_row(self) -> None:
+        self.row, self.last_row = {}, self.row
+
+    def refresh(self, result: SparseTuckerResult) -> SparseTuckerResult:
+        key = _refresh_key(result)
+        entry = self.row.get(key)
+        if entry is None:
+            entry = self.last_row.pop(key, None)
+        if entry is None:
+            # a refresh can lower a rank: a mode keeps no more components
+            # than the other modes' ranks multiply to
+            fresh = _hooi_refresh(self.c, result)
+            mats = [fresh.core, fresh.q] + fresh.factors
+            entry = (fresh.ranks, np.concatenate([m.ravel() for m in mats]))
+        self.row[key] = entry
+        ranks, flat = entry
+        mats, start = [], 0
+        for shape in [ranks] + [(ext, r) for ext, r in zip(self.c.shape, ranks)]:
+            end = start + math.prod(shape)
+            # a fresh C-ordered copy, laid out like the arrays a refresh returns
+            mats.append(flat[start:end].reshape(shape).copy())
+            start = end
+        return replace(result, core=mats[0], q=mats[1], factors=mats[2:])
+
+
 def f_mpstd_cov(
     c,
     snr: float,
@@ -273,18 +323,24 @@ def f_mpstd_cov(
     rank_cap: int = DEFAULT_RANK_CAP,
     max_sweeps: int = 200,
     init: SparseTuckerResult = None,
+    search: GridSearch = None,
 ) -> SparseTuckerResult:
     """Sparse Tucker decomposition of a covariance tensor ``c``.
 
-    Starts from HOOI at full ranks capped at ``rank_cap`` per mode, then
-    alternates SNR-derived soft thresholding of the core with tau pruning
-    and an orthogonal factor refresh until the sparse core stabilises
-    (relative change below :data:`SWEEP_TOL`) or ``max_sweeps`` elapse.  A
-    non-converged run returns the last iterate with ``converged=False``.
+    Starts from ``init`` or else HOOI at full ranks capped at ``rank_cap``
+    per mode, then alternates SNR-derived soft thresholding of the core with
+    tau pruning and an orthogonal factor refresh until the sparse core
+    stabilises (relative change below :data:`SWEEP_TOL`) or ``max_sweeps``
+    elapse.  A non-converged run returns the last iterate with
+    ``converged=False``.  With ``search`` (a :class:`GridSearch` of this
+    ``c``), the cell starts from its HOOI start and takes every refresh from
+    its cache; the result is bit-identical to running without it.
     """
     c = as_tensor(c)
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
+    if search is not None:
+        init = search.init
     if init is None:
         ranks = [min(ext, rank_cap) for ext in c.shape]
         res = hooi_init(c, ranks)
@@ -302,7 +358,7 @@ def f_mpstd_cov(
             if delta <= SWEEP_TOL * denom or (denom == 0.0 and delta == 0.0):
                 return replace(pruned, converged=True)
         prev_core = pruned.core
-        res = _hooi_refresh(c, pruned)
+        res = _hooi_refresh(c, pruned) if search is None else search.refresh(pruned)
     return replace(pruned, converged=False)
 
 
@@ -358,28 +414,31 @@ def finalize_block(x, res: SparseTuckerResult):
 def ace(x, y, grid: HyperGrid = None, rank_cap: int = DEFAULT_RANK_CAP) -> AceResult:
     """Extract one maximally correlated block with automatic (SNR, tau) selection.
 
-    Every grid cell is scored by :func:`bic_score`; per SNR the best tau is
-    chosen first, then the best SNR, with ties broken toward the smaller
-    value in both loops.  The winning decomposition yields the unit-norm
-    score vector t and the block core, the projection of x onto
-    (t, factors).
+    Every grid cell is one :func:`f_mpstd_cov` run from the same HOOI start,
+    scored by :func:`bic_score`; per SNR the best tau is chosen first, then
+    the best SNR, with ties broken toward the smaller value in both loops.
+    The cells share one :class:`GridSearch`, so a factor refresh another
+    cell of this or the previous SNR row already made is reused, not
+    recomputed; the result is bit-identical to running every cell alone.
+    The winning decomposition yields the unit-norm score vector t and the
+    block core, the projection of x onto (t, factors).
     """
     x = as_tensor(x, min_order=2)
     y = as_matrix(y)
     grid = grid or HyperGrid()
     c = cross_covariance(x, y)
     try:
-        ranks = [min(ext, rank_cap) for ext in c.shape]
-        init = hooi_init(c, ranks)
+        search = GridSearch(c, rank_cap)
     except DecompositionError as e:
         raise AceError(f"initial decomposition failed: {e}") from e
 
     best = None  # (bic, snr, tau, result)
     for snr in grid.snr_values:
+        search.start_row()
         snr_best = None
         for tau in grid.tau_values:
             try:
-                res = f_mpstd_cov(c, snr, tau, rank_cap=rank_cap, init=init)
+                res = f_mpstd_cov(c, snr, tau, rank_cap=rank_cap, search=search)
             except (DecompositionError, ValueError):
                 continue
             b = bic_score(c, res)
@@ -387,6 +446,9 @@ def ace(x, y, grid: HyperGrid = None, rank_cap: int = DEFAULT_RANK_CAP) -> AceRe
                 snr_best = (b, snr, tau, res)
         if snr_best is not None and (best is None or snr_best[0] < best[0]):
             best = snr_best
+    # free the cache before finalize_block's sample-sized products, so they
+    # can reuse its memory instead of growing the heap
+    del search
     if best is None:
         raise AceError("every (SNR, tau) candidate failed to decompose")
 

@@ -91,7 +91,7 @@ def test_fit_csv_requires_response(tmp_path):
     assert code == EXIT_CONFIG
 
 
-def test_federate_client_unreachable_server_exit_code(tmp_path):
+def test_federate_client_unreachable_server_exit_code(tmp_path, capsys):
     from fbttr.cli import EXIT_PROTOCOL
 
     data = tmp_path / "d.npz"
@@ -101,9 +101,11 @@ def test_federate_client_unreachable_server_exit_code(tmp_path):
     sock.bind(("127.0.0.1", 0))
     dead_port = sock.getsockname()[1]
     sock.close()
-    code = run_cli("federate", "--role", "client",
+    # a client takes the grid from the hub, so a hub-only flag it is given is ignored
+    code = run_cli("federate", "--role", "client", "--grid-snr", "50:1",
                    "--connect", f"127.0.0.1:{dead_port}", "--data", str(data))
     assert code == EXIT_PROTOCOL
+    assert "cannot reach server" in capsys.readouterr().err
 
 
 def test_experiment_cli_with_config(tmp_path):
@@ -148,6 +150,23 @@ def test_experiment_flags_override_config_keys(tmp_path):
     for line in ("mode=centralized", "blocks=1", "seed=4", f"out={out}", "clients=2"):
         assert line in resolved
     assert not (tmp_path / "from_file").exists()
+
+
+def test_experiment_npz_data_needs_no_response(tmp_path):
+    data = tmp_path / "d.npz"
+    run_cli("synth", "--out", str(data), "--shape", "60x5x4", "--blocks", "1",
+            "--snr-db", "25", "--seed", "2")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "\n".join([
+            "mode=centralized", f"data={data}", "blocks=1",
+            "grid_snr=15:35:20", "grid_tau=97:100:3", "seeds=1", "test_blocks=3",
+            f"out={tmp_path / 'out'}",
+        ]) + "\n",
+        encoding="utf-8",
+    )
+    assert run_cli("experiment", "--config", str(cfg)) == 0
+    assert (tmp_path / "out" / "metrics.csv").exists()
 
 
 def test_experiment_cli_bad_config_exit_code(tmp_path):

@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import fbttr.sparse_tucker as st
+from fbttr.data import make_synthetic
 from fbttr.sparse_tucker import (
     AceError,
     DecompositionError,
@@ -10,8 +13,10 @@ from fbttr.sparse_tucker import (
     SparseTuckerResult,
     ace,
     bic_score,
+    collapse_response_mode,
     f_mpstd,
     f_mpstd_cov,
+    finalize_block,
     hooi_init,
     lambda_from_snr,
     prune,
@@ -412,6 +417,127 @@ def test_ace_degenerate_input_raises():
     y = np.zeros((10, 1))
     with pytest.raises(AceError):
         ace(x, y, HyperGrid(snr_values=(10.0,), tau_values=(95.0,)))
+
+
+CACHE_GRID = HyperGrid(snr_values=(2.0, 5.0, 10.0, 20.0, 30.0), tau_values=(90.0, 95.0, 98.0, 100.0))
+
+
+def planted_or_noise(kind):
+    if kind == "planted":
+        ds, _ = make_synthetic((60, 8, 6), n_blocks=2, noise_snr_db=20.0, seed=3, ranks=(2, 2))
+        return ds.x, ds.y
+    rng = np.random.default_rng(25)
+    return rng.normal(size=(60, 8, 6)), rng.normal(size=(60, 1))
+
+
+def ace_reference(x, y, grid, rank_cap=10):
+    """ace without the shared refresh cache: every cell runs alone from one HOOI start."""
+    c = cross_covariance(x, y)
+    init = hooi_init(c, [min(e, rank_cap) for e in c.shape])
+    cells, best = [], None
+    for snr in grid.snr_values:
+        snr_best = None
+        for tau in grid.tau_values:
+            res = f_mpstd_cov(c, snr, tau, rank_cap=rank_cap, init=init)
+            cells.append(res)
+            b = bic_score(c, res)
+            if snr_best is None or b < snr_best[0]:
+                snr_best = (b, snr, tau, res)
+        if best is None or snr_best[0] < best[0]:
+            best = snr_best
+    bic, snr_star, tau_star, res = best
+    res = collapse_response_mode(res)
+    t, block_core, score_core = finalize_block(x, res)
+    return cells, dict(block_core=block_core, score_core=score_core, q=res.q, t=t,
+                       factors=res.factors, snr_star=snr_star, tau_star=tau_star, bic=bic)
+
+
+@pytest.mark.parametrize("kind", ["planted", "noise"])
+def test_ace_equals_cache_free_reference_loop(kind, monkeypatch):
+    x, y = planted_or_noise(kind)
+    ref_cells, ref = ace_reference(x, y, CACHE_GRID)
+    cells = []
+
+    def recording(*args, **kwargs):
+        cells.append(f_mpstd_cov(*args, **kwargs))
+        return cells[-1]
+
+    monkeypatch.setattr(st, "f_mpstd_cov", recording)
+    got = ace(x, y, CACHE_GRID)
+    assert len(cells) == len(ref_cells) == 20
+    for a, b in zip(cells, ref_cells):
+        assert a.converged == b.converged
+        for u, v in zip([a.core, a.q] + a.factors, [b.core, b.q] + b.factors):
+            assert u.shape == v.shape and u.tobytes() == v.tobytes()
+    for name in ("block_core", "score_core", "q", "t"):
+        assert getattr(got, name).tobytes() == ref[name].tobytes(), name
+    assert len(got.factors) == len(ref["factors"])
+    for u, v in zip(got.factors, ref["factors"]):
+        assert u.shape == v.shape and u.tobytes() == v.tobytes()
+    assert (got.snr_star, got.tau_star, got.bic) == (ref["snr_star"], ref["tau_star"], ref["bic"])
+
+
+def test_ace_refresh_cache_is_used_and_bounded(monkeypatch):
+    x, y = planted_or_noise("planted")
+    counts = {"refresh": 0, "sweep": 0}
+    searches = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    class RecordingSearch(st.GridSearch):
+        # after each finished SNR row, every held entry was created or hit
+        # in that row or the one before
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.n_row, self.touched, self.created = -1, {}, set()
+            searches.append(self)
+
+        def check_held(self):
+            for key in list(self.row) + list(self.last_row):
+                assert self.touched[key] >= self.n_row - 1
+
+        def start_row(self):
+            if self.n_row >= 0:
+                self.check_held()
+            super().start_row()
+            self.n_row += 1
+
+        def refresh(self, result):
+            key = st._refresh_key(result)
+            self.touched[key] = self.n_row
+            self.created.add(key)
+            return super().refresh(result)
+
+    monkeypatch.setattr(st, "_hooi_refresh", counting("refresh", st._hooi_refresh))
+    monkeypatch.setattr(st, "lambda_from_snr", counting("sweep", st.lambda_from_snr))
+    monkeypatch.setattr(st, "GridSearch", RecordingSearch)
+    ace(x, y, CACHE_GRID)
+    (search,) = searches
+    search.check_held()
+    assert search.n_row == len(CACHE_GRID.snr_values) - 1
+    assert counts["refresh"] < 0.25 * counts["sweep"]
+    # the bound dropped entries: not everything ever refreshed is still held
+    assert len(search.row) + len(search.last_row) < len(search.created)
+
+
+def test_grid_search_refresh_that_lowers_a_rank():
+    # mode 2 cannot keep 3 components when the other modes keep one each
+    rng = np.random.default_rng(26)
+    c = rng.normal(size=(1, 6, 5))
+    init = hooi_init(c, (1, 3, 3))
+    res = replace(init, core=init.core[:, :, :1].copy(),
+                  factors=[init.factors[0], init.factors[1][:, :1].copy()])
+    ref = st._hooi_refresh(c, res)
+    assert ref.ranks == (1, 1, 1)
+    search = st.GridSearch(c, 10)
+    for _ in range(2):  # a miss, then a hit
+        got = search.refresh(res)
+        for u, v in zip([got.core, got.q] + got.factors, [ref.core, ref.q] + ref.factors):
+            assert u.shape == v.shape and u.tobytes() == v.tobytes()
 
 
 def test_hypergrid_validation():
