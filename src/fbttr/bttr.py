@@ -36,6 +36,8 @@ __all__ = [
     "fit",
     "predict",
     "residual_trace",
+    "coefficient",
+    "deflate",
     "select_k_cv",
     "materialize_predictor",
     "expand",
@@ -62,6 +64,10 @@ class FitConfig:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if self.rank_cap < 1:
             raise ValueError(f"rank_cap must be >= 1, got {self.rank_cap}")
+
+    def stops(self, e_norm: float, f_norm: float) -> bool:
+        """The stop rule: either residual norm is at most ``epsilon``."""
+        return e_norm <= self.epsilon or f_norm <= self.epsilon
 
 
 @dataclass
@@ -180,12 +186,23 @@ def materialize_predictor(blocks, input_shape) -> tuple:
     return w, z
 
 
-def fit(x, y, cfg: FitConfig, normalization: Optional[NormStats] = None,
-        keep_trace: bool = True) -> BttrModel:
+def coefficient(f, q, t) -> float:
+    """The regression coefficient d = (F q)' t of a unit loading q and score t."""
+    return float(((f @ q).T @ t).item())
+
+
+def deflate(e, f, core, factors, q, t) -> tuple:
+    """(E - core x_1 t x_2 P_2 ... x_N P_N, F - d t q', d): the rank-one
+    deflation of the residuals by one block, with d = :func:`coefficient`."""
+    d = coefficient(f, q, t)
+    return e - expand(core, factors, t), f - d * (t @ q.T), d
+
+
+def fit(x, y, cfg: FitConfig, normalization: Optional[NormStats] = None) -> BttrModel:
     """Fit a block-term tensor regression on (x, y).
 
-    Extracts up to ``cfg.max_blocks`` blocks, stopping early once either
-    residual norm falls to ``cfg.epsilon``; at least one block is always
+    Extracts up to ``cfg.max_blocks`` blocks, stopping early once
+    :meth:`FitConfig.stops` holds; at least one block is always
     extracted.  A failed extraction on the first block raises
     :class:`FitError`; on a later block it truncates the model.
 
@@ -201,12 +218,11 @@ def fit(x, y, cfg: FitConfig, normalization: Optional[NormStats] = None,
     if not np.isfinite(x).all():
         raise ValueError("predictor contains non-finite values")
 
-    e = x.copy()
-    f = y.copy()
+    e, f = x, y  # deflation builds new residuals and never writes to these
     blocks = []
     trace = [(frobenius_norm(e), frobenius_norm(f))]
     for k in range(cfg.max_blocks):
-        if k > 0 and (trace[-1][0] <= cfg.epsilon or trace[-1][1] <= cfg.epsilon):
+        if k > 0 and cfg.stops(*trace[-1]):
             break
         try:
             a = ace(e, f, cfg.grid, rank_cap=cfg.rank_cap)
@@ -215,13 +231,9 @@ def fit(x, y, cfg: FitConfig, normalization: Optional[NormStats] = None,
                 raise FitError(f"no block could be extracted: {err}") from err
             break
         q = a.q / np.linalg.norm(a.q)
-        u = f @ q
-        d = float((u.T @ a.t).item())
-        block = Block(core=a.block_core, factors=a.factors, q=q, d=d,
-                      score_core=a.score_core, t=a.t)
-        e = e - expand(block.core, block.factors, block.t)
-        f = f - d * (block.t @ q.T)
-        blocks.append(block)
+        e, f, d = deflate(e, f, a.block_core, a.factors, q, a.t)
+        blocks.append(Block(core=a.block_core, factors=a.factors, q=q, d=d,
+                            score_core=a.score_core, t=a.t))
         trace.append((frobenius_norm(e), frobenius_norm(f)))
 
     w, z = materialize_predictor(blocks, x.shape[1:])
@@ -231,7 +243,7 @@ def fit(x, y, cfg: FitConfig, normalization: Optional[NormStats] = None,
         z=z,
         input_shape=tuple(x.shape[1:]),
         normalization=normalization,
-        trace=trace if keep_trace else None,
+        trace=trace,
     )
 
 
@@ -252,7 +264,7 @@ def predict(model: BttrModel, x_test) -> np.ndarray:
 def residual_trace(model: BttrModel):
     """Per-block (E, F) residual norms, initial state first."""
     if model.trace is None:
-        raise ValueError("model was fitted without trace retention")
+        raise ValueError("model carries no residual trace")
     return list(model.trace)
 
 
@@ -281,7 +293,7 @@ def select_k_cv(x, y, cfg: FitConfig, folds: int, task: str = "regression") -> i
     scores = np.full((folds, cfg.max_blocks), -np.inf)
     for fi, val_idx in enumerate(fold_indices):
         train_idx = np.setdiff1d(np.arange(n), val_idx)
-        model = fit(x[train_idx], y[train_idx], cfg, keep_trace=False)
+        model = fit(x[train_idx], y[train_idx], cfg)
         for k in range(1, cfg.max_blocks + 1):
             pred = _prefix_scores(model, x[val_idx], min(k, model.n_blocks))
             try:

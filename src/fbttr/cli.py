@@ -69,9 +69,8 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
 def cmd_fit(args) -> int:
     ds = _load_data(args)
     x, y, stats = training_view(ds)
-    cfg = fit_config(x, y, ds.task, args.blocks, args.epsilon,
-                     parse_grid(args.grid_snr, args.grid_tau),
-                     folds=args.folds if args.cv else None)
+    cfg = fit_config(args.blocks, args.epsilon, parse_grid(args.grid_snr, args.grid_tau),
+                     folds=args.folds if args.cv else None, x=x, y=y, task=ds.task)
     if args.cv:
         print(f"cross-validation selected K={cfg.max_blocks}")
     model = fit(x, y, cfg, normalization=stats)
@@ -109,8 +108,7 @@ def cmd_predict(args) -> int:
 
 def cmd_federate(args) -> int:
     if args.role == "server":
-        cfg = FitConfig(max_blocks=args.blocks, epsilon=args.epsilon,
-                        grid=parse_grid(args.grid_snr, args.grid_tau))
+        cfg = fit_config(args.blocks, args.epsilon, parse_grid(args.grid_snr, args.grid_tau))
         host, port = _host_port(args.listen)
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -138,7 +136,7 @@ def cmd_federate(args) -> int:
         state = run_socket_client(host, port, x, y, round_timeout=args.round_timeout)
     except OSError as e:
         raise ProtocolError(f"cannot reach server at {host}:{port}: {e}") from e
-    print(f"client finished after {len(state.local_blocks)} block(s)")
+    print(f"client finished after {state.blocks_deflated} block(s)")
     return EXIT_OK
 
 

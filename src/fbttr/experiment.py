@@ -60,18 +60,26 @@ def _parse_range(text: str, field_name: str) -> tuple:
         step = float(parts[2]) if len(parts) == 3 else 1.0
     except ValueError as e:
         raise ConfigError(field_name, f"non-numeric bound in {text!r}") from e
-    if step <= 0 or stop < start:
-        raise ConfigError(field_name, f"empty or descending range {text!r}")
+    if not all(math.isfinite(v) for v in (start, stop, step)) or step <= 0 or stop < start:
+        raise ConfigError(field_name, f"empty, descending or non-finite range {text!r}")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
     return tuple(start + i * step for i in range(count))
 
 
+def _checked(key: str, settings, **values):
+    """``settings(**values)``, with the ValueError it raises as a ConfigError on ``key``."""
+    try:
+        return settings(**values)
+    except ValueError as e:
+        raise ConfigError(key, str(e)) from e
+
+
 def parse_grid(snr_text: str, tau_text: str) -> HyperGrid:
     """The SNR x tau grid of two ``start:stop[:step]`` ranges."""
-    return HyperGrid(
-        snr_values=_parse_range(snr_text, "grid_snr"),
-        tau_values=_parse_range(tau_text, "grid_tau"),
-    )
+    snr = _parse_range(snr_text, "grid_snr")
+    _checked("grid_snr", HyperGrid, snr_values=snr)  # beside the default, valid tau axis
+    return _checked("grid_tau", HyperGrid, snr_values=snr,
+                    tau_values=_parse_range(tau_text, "grid_tau"))
 
 
 def read_config_file(path) -> dict:
@@ -170,13 +178,10 @@ class ExperimentConfig:
             raise ConfigError("task", f"unknown task {self.task!r}")
         if self.task == "survival" and self.data != "synth" and not self.event_col:
             raise ConfigError("event_col", "required for survival tasks")
-        if self.blocks != "cv":
-            try:
-                k = int(self.blocks)
-            except ValueError as e:
-                raise ConfigError("blocks", f"expected integer or 'cv', got {self.blocks!r}") from e
-            if k < 1:
-                raise ConfigError("blocks", "must be >= 1")
+        try:
+            k = self.max_blocks if self.blocks == "cv" else int(self.blocks)
+        except ValueError as e:
+            raise ConfigError("blocks", f"expected integer or 'cv', got {self.blocks!r}") from e
         if self.clients < 1:
             raise ConfigError("clients", "must be >= 1")
         if not 0.0 < self.train_frac < 1.0:
@@ -191,7 +196,7 @@ class ExperimentConfig:
             raise ConfigError("pooled_clients", "hybrid mode requires an explicit pooled-client list")
         if self.partition not in ("iid", "label_skew", "by_column"):
             raise ConfigError("partition", f"unknown scheme {self.partition!r}")
-        self.hyper_grid()
+        fit_config(k, self.epsilon, self.hyper_grid())
         return self
 
     def hyper_grid(self) -> HyperGrid:
@@ -264,11 +269,12 @@ def training_view(ds: Dataset) -> tuple:
     return stats.apply_x(ds.x), stats.apply_y(target), stats
 
 
-def fit_config(x, y, task: str, blocks: int, epsilon: float, grid: HyperGrid,
-               folds=None) -> FitConfig:
+def fit_config(blocks: int, epsilon: float, grid: HyperGrid, folds=None, x=None, y=None,
+               task: str = "regression") -> FitConfig:
     """Training configuration with K = ``blocks``, or, when ``folds`` is given,
     the K up to ``blocks`` that ``folds``-fold cross-validation on (x, y) selects."""
-    cfg = FitConfig(max_blocks=blocks, epsilon=epsilon, grid=grid)
+    _checked("blocks", FitConfig, max_blocks=blocks)  # beside the default, valid epsilon
+    cfg = _checked("epsilon", FitConfig, max_blocks=blocks, epsilon=epsilon, grid=grid)
     if folds is None:
         return cfg
     cv_task = "binary" if task == "binary" else "regression"
@@ -356,9 +362,9 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
         x_test = stats.apply_x(test.x)
 
         cv = cfg.blocks == "cv"
-        fit_cfg = fit_config(x_train, y_train, ds.task,
-                             cfg.max_blocks if cv else int(cfg.blocks), cfg.epsilon,
-                             cfg.hyper_grid(), folds=cfg.folds if cv else None)
+        fit_cfg = fit_config(cfg.max_blocks if cv else int(cfg.blocks), cfg.epsilon,
+                             cfg.hyper_grid(), folds=cfg.folds if cv else None,
+                             x=x_train, y=y_train, task=ds.task)
 
         block_ids = np.array_split(np.arange(test.n_samples), cfg.test_blocks)
         for mode in cfg.mode:

@@ -13,21 +13,22 @@ wire.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .bttr import Block, BttrModel, FitConfig, FitError, expand, materialize_predictor
+from .bttr import Block, BttrModel, FitConfig, FitError, coefficient, deflate, materialize_predictor
 from .sparse_tucker import (
     AceError,
     SparseTuckerResult,
     ace,
     collapse_response_mode,
+    component_contributions,
     f_mpstd,
     finalize_block,
 )
-from .tensor import as_matrix, as_tensor, frobenius_norm, multilinear_product, unfold
+from .tensor import as_matrix, as_tensor, frobenius_norm, multilinear_product
 from .transport import DEFAULT_ROUND_TIMEOUT, ClientDropout, LoopbackTransport, ProtocolError, SocketChannel
 from .wire import (
     AceReport,
@@ -68,7 +69,7 @@ class ClientState:
     e_residual: np.ndarray
     f_residual: np.ndarray
     sample_count: int
-    local_blocks: list = field(default_factory=list)
+    blocks_deflated: int = 0
 
 
 def aggregation_weights(sample_counts) -> np.ndarray:
@@ -118,7 +119,7 @@ def truncate_to_ranks(res: SparseTuckerResult, target_ranks) -> SparseTuckerResu
         if tgt > cur:
             raise ProtocolError(f"target rank {tgt} exceeds available {cur} in mode {n + 2}")
         if tgt < cur:
-            contrib = np.abs(unfold(core, n + 2)).sum(axis=1)
+            contrib = component_contributions(core, n + 2)
             keep = np.sort(np.argsort(-contrib, kind="stable")[:tgt])
             core = np.ascontiguousarray(np.take(core, keep, axis=n + 1))
             f = f[:, keep]
@@ -138,9 +139,7 @@ def client_local_block(state: ClientState, assignment: HyperAssign, cfg: FitConf
     otherwise the decomposition is rerun and truncated.
     """
     e, f = state.e_residual, state.f_residual
-    if not first_block and (
-        frobenius_norm(e) <= cfg.epsilon or frobenius_norm(f) <= cfg.epsilon
-    ):
+    if not first_block and cfg.stops(frobenius_norm(e), frobenius_norm(f)):
         return BlockUpdate(skip=True, n_samples=state.sample_count)
 
     reuse = (
@@ -156,21 +155,12 @@ def client_local_block(state: ClientState, assignment: HyperAssign, cfg: FitConf
         res = f_mpstd(e, f, snr=assignment.snr, tau=assignment.tau, rank_cap=cfg.rank_cap)
         res = collapse_response_mode(res)
         res = truncate_to_ranks(res, assignment.target_ranks)
-        t, block_core, score_core = finalize_block(e, res)
+        t, block_core, score_core = finalize_block(e, res.core, res.factors)
         factors, q = res.factors, res.q
 
     q = q / np.linalg.norm(q)
-    u = f @ q
-    d = float((u.T @ t).item())
-    return BlockUpdate(
-        skip=False,
-        n_samples=state.sample_count,
-        core=block_core,
-        score_core=score_core,
-        factors=list(factors),
-        q=q,
-        d=d,
-    )
+    return BlockUpdate(skip=False, n_samples=state.sample_count, core=block_core,
+                       score_core=score_core, factors=list(factors), q=q, d=coefficient(f, q, t))
 
 
 def client_deflate(state: ClientState, gb: GlobalBlock) -> tuple:
@@ -183,29 +173,15 @@ def client_deflate(state: ClientState, gb: GlobalBlock) -> tuple:
     and the acknowledgement carrying residual norms only.
     """
     e, f = state.e_residual, state.f_residual
-    res = SparseTuckerResult(core=gb.score_core, q=gb.q, factors=list(gb.factors),
-                             snr=0.0, tau=100.0)
     try:
-        t, local_core, _ = finalize_block(e, res)
+        t, local_core, _ = finalize_block(e, gb.score_core, gb.factors)
     except AceError:
         # residual has no component along the global block; nothing to remove
-        ack = DeflateAck(e_norm=frobenius_norm(e), f_norm=frobenius_norm(f), deflated=False)
-        return state, ack
-    u = f @ gb.q
-    d_local = float((u.T @ t).item())
-    new_e = e - expand(local_core, gb.factors, t)
-    new_f = f - d_local * (t @ gb.q.T)
-    state = replace(
-        state,
-        e_residual=new_e,
-        f_residual=new_f,
-        local_blocks=state.local_blocks + [
-            Block(core=gb.core, factors=list(gb.factors), q=gb.q, d=d_local,
-                  score_core=gb.score_core, t=t)
-        ],
-    )
-    ack = DeflateAck(e_norm=frobenius_norm(new_e), f_norm=frobenius_norm(new_f))
-    return state, ack
+        return state, DeflateAck(e_norm=frobenius_norm(e), f_norm=frobenius_norm(f), deflated=False)
+    new_e, new_f, _ = deflate(e, f, local_core, gb.factors, gb.q, t)
+    state = replace(state, e_residual=new_e, f_residual=new_f,
+                    blocks_deflated=state.blocks_deflated + 1)
+    return state, DeflateAck(e_norm=frobenius_norm(new_e), f_norm=frobenius_norm(new_f))
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +308,7 @@ class ClientSession:
         self.n_responses = y.shape[1]
         self.cfg: Optional[FitConfig] = None
         self.done = False
-        self._ace_cache = {}
+        self._ace_cache = (None, None)  # (round, AceResult) of the latest own extraction
 
     def hello(self) -> Message:
         return Message(
@@ -351,15 +327,13 @@ class ClientSession:
 
     def _ace_report(self, rnd: int) -> Message:
         e, f = self.state.e_residual, self.state.f_residual
-        if rnd > 1 and (
-            frobenius_norm(e) <= self.cfg.epsilon or frobenius_norm(f) <= self.cfg.epsilon
-        ):
+        if rnd > 1 and self.cfg.stops(frobenius_norm(e), frobenius_norm(f)):
             return self._msg(MessageKind.ACE_REPORT, rnd, AceReport(skip=True))
         try:
             result = ace(e, f, self.cfg.grid, rank_cap=self.cfg.rank_cap)
         except AceError:
             return self._msg(MessageKind.ACE_REPORT, rnd, AceReport(skip=True))
-        self._ace_cache[rnd] = result
+        self._ace_cache = (rnd, result)
         report = AceReport(
             skip=False,
             snr=result.snr_star,
@@ -378,9 +352,10 @@ class ClientSession:
             return [self._ace_report(1)]
         if msg.kind == MessageKind.HYPER_ASSIGN:
             try:
+                cached_round, cached = self._ace_cache
                 update = client_local_block(
                     self.state, msg.payload, self.cfg,
-                    cached=self._ace_cache.get(msg.round),
+                    cached=cached if cached_round == msg.round else None,
                     first_block=msg.round == 1,
                 )
             except (AceError, ProtocolError, ValueError) as e:
@@ -388,9 +363,9 @@ class ClientSession:
                 return [self._msg(MessageKind.ERROR, msg.round, info)]
             return [self._msg(MessageKind.BLOCK_UPDATE, msg.round, update)]
         if msg.kind == MessageKind.GLOBAL_BLOCK:
-            e, f = self.state.e_residual, self.state.f_residual
-            if frobenius_norm(e) <= self.cfg.epsilon or frobenius_norm(f) <= self.cfg.epsilon:
-                ack = DeflateAck(e_norm=frobenius_norm(e), f_norm=frobenius_norm(f), deflated=False)
+            norms = frobenius_norm(self.state.e_residual), frobenius_norm(self.state.f_residual)
+            if self.cfg.stops(*norms):
+                ack = DeflateAck(*norms, deflated=False)
             else:
                 self.state, ack = client_deflate(self.state, msg.payload)
             out = [self._msg(MessageKind.DEFLATE_ACK, msg.round, ack)]

@@ -43,6 +43,7 @@ __all__ = [
     "f_mpstd",
     "f_mpstd_cov",
     "bic_score",
+    "component_contributions",
     "collapse_response_mode",
     "finalize_block",
     "ace",
@@ -72,6 +73,10 @@ class HyperGrid:
                 raise ValueError(f"{name} must be nonempty")
             if any(b <= a for a, b in zip(vals, vals[1:])):
                 raise ValueError(f"{name} must be strictly increasing")
+        if not all(math.isfinite(s) and s > 0 for s in self.snr_values):
+            raise ValueError(f"snr_values must be finite and > 0, got {self.snr_values}")
+        if not all(0.0 <= t <= 100.0 for t in self.tau_values):
+            raise ValueError(f"tau_values must lie in [0, 100], got {self.tau_values}")
 
 
 @dataclass
@@ -229,9 +234,13 @@ def soft_threshold(core, lam: float) -> np.ndarray:
     return np.sign(core) * np.maximum(np.abs(core) - lam, 0.0)
 
 
+def component_contributions(core: np.ndarray, mode: int) -> np.ndarray:
+    """Per-component weight of ``mode`` in ``core``: absolute row sums of the mode unfolding."""
+    return np.abs(unfold(core, mode)).sum(axis=1)
+
+
 def _retained_indices(core: np.ndarray, mode: int, tau: float) -> np.ndarray:
-    g = np.abs(unfold(core, mode))
-    contrib = g.sum(axis=1)
+    contrib = component_contributions(core, mode)
     total = contrib.sum()
     threshold = (100.0 - tau) / 100.0
     if total > 0:
@@ -386,29 +395,28 @@ def collapse_response_mode(res: SparseTuckerResult) -> SparseTuckerResult:
     single score/loading pair."""
     if res.core.shape[0] == 1:
         return res
-    contrib = np.abs(unfold(res.core, 1)).sum(axis=1)
-    keep = int(np.argmax(contrib))
+    keep = int(np.argmax(component_contributions(res.core, 1)))
     core = np.ascontiguousarray(res.core[keep:keep + 1])
     return replace(res, core=core, q=res.q[:, keep:keep + 1])
 
 
-def finalize_block(x, res: SparseTuckerResult):
-    """Score vector, block core and score map of a response-collapsed decomposition.
+def finalize_block(x, core, factors):
+    """Score vector, block core and score map of a response-collapsed ``core`` on ``factors``.
 
     Returns (t, block_core, score_core) where t is the unit-norm score,
     block_core the projection of x onto (t, factors), and score_core the
     core whose vectorisation maps the factor-projected x onto t exactly.
     """
-    proj = multilinear_product(x, {n + 2: f.T for n, f in enumerate(res.factors)})
-    t_raw = unfold(proj, 1) @ vec(res.core)
+    proj = multilinear_product(x, {n + 2: f.T for n, f in enumerate(factors)})
+    t_raw = unfold(proj, 1) @ vec(core)
     rho = float(np.linalg.norm(t_raw))
     if rho == 0.0 or not math.isfinite(rho):
         raise AceError("degenerate score direction (zero projection)")
     t = (t_raw / rho).reshape(-1, 1)
     factor_map = {1: t.T}
-    factor_map.update({n + 2: f.T for n, f in enumerate(res.factors)})
+    factor_map.update({n + 2: f.T for n, f in enumerate(factors)})
     block_core = multilinear_product(x, factor_map)
-    return t, block_core, res.core / rho
+    return t, block_core, core / rho
 
 
 def ace(x, y, grid: HyperGrid = None, rank_cap: int = DEFAULT_RANK_CAP) -> AceResult:
@@ -454,7 +462,7 @@ def ace(x, y, grid: HyperGrid = None, rank_cap: int = DEFAULT_RANK_CAP) -> AceRe
 
     bic, snr_star, tau_star, res = best
     res = collapse_response_mode(res)
-    t, block_core, score_core = finalize_block(x, res)
+    t, block_core, score_core = finalize_block(x, res.core, res.factors)
     return AceResult(
         block_core=block_core,
         q=res.q,

@@ -14,7 +14,8 @@ from fbttr.bttr import (
     residual_trace,
     select_k_cv,
 )
-from fbttr.sparse_tucker import HyperGrid, SparseTuckerResult, finalize_block
+from fbttr.federated import run_federated_fit
+from fbttr.sparse_tucker import HyperGrid, finalize_block
 from fbttr.tensor import frobenius_norm, kron_factors, multilinear_product, unfold, vec
 
 SMALL_GRID = HyperGrid(snr_values=(10.0, 25.0, 40.0), tau_values=(95.0, 99.0, 100.0))
@@ -147,9 +148,10 @@ def test_residual_trace_length_and_recovery():
 
 
 def test_residual_trace_requires_retention():
+    # a federated model carries no trace: no party sees every residual
     rng = np.random.default_rng(9)
     x, y, _ = plant_blocks(rng, 30, (5, 3), n_blocks=1)
-    model = fit(x, y, FitConfig(max_blocks=1, grid=SMALL_GRID), keep_trace=False)
+    model = run_federated_fit([(x, y)], FitConfig(max_blocks=1, grid=SMALL_GRID))
     with pytest.raises(ValueError):
         residual_trace(model)
 
@@ -187,9 +189,7 @@ def test_w_columns_reproduce_training_scores(feature_shape):
     for k in range(3):
         ranks = tuple(min(ext, 1 + (k + n) % 3) for n, ext in enumerate(feature_shape))
         factors = [random_orthonormal(rng, ext, r) for ext, r in zip(feature_shape, ranks)]
-        res = SparseTuckerResult(core=rng.normal(size=(1,) + ranks), q=np.ones((1, 1)),
-                                 factors=factors, snr=0.0, tau=100.0)
-        t, core, score_core = finalize_block(e, res)
+        t, core, score_core = finalize_block(e, rng.normal(size=(1,) + ranks), factors)
         fmap = {1: t}
         fmap.update({n + 2: f for n, f in enumerate(factors)})
         e = e - multilinear_product(core, fmap)

@@ -73,8 +73,8 @@ def test_fit_writes_the_model_of_the_shared_preparation(tmp_path, cv):
 
     ds = load_npz(data)
     x, y, stats = training_view(ds)
-    cfg = fit_config(x, y, ds.task, 2, FitConfig.epsilon, parse_grid("15:35:20", "97:100:3"),
-                     folds=3 if cv else None)
+    cfg = fit_config(2, FitConfig.epsilon, parse_grid("15:35:20", "97:100:3"),
+                     folds=3 if cv else None, x=x, y=y, task=ds.task)
     expected = model_to_bytes(fit(x, y, cfg, normalization=stats))
     assert (out / "model.fbttr").read_bytes() == expected
 
@@ -106,6 +106,28 @@ def test_federate_client_unreachable_server_exit_code(tmp_path, capsys):
                    "--connect", f"127.0.0.1:{dead_port}", "--data", str(data))
     assert code == EXIT_PROTOCOL
     assert "cannot reach server" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["fit", "--grid-snr", "1:inf"], "grid_snr"),
+    (["fit", "--grid-snr", "nan:5"], "grid_snr"),
+    (["fit", "--grid-tau", "90:110"], "grid_tau"),
+    (["fit", "--grid-tau", "101:105"], "grid_tau"),
+    (["fit", "--blocks", "0"], "blocks"),
+    (["fit", "--epsilon=-1"], "epsilon"),
+    (["federate", "--role", "server", "--listen", "127.0.0.1:0", "--epsilon=-1"], "epsilon"),
+    (["experiment", "--epsilon=-1"], "epsilon"),
+], ids=["snr-inf", "snr-nan", "tau-above-100", "tau-all-above-100", "zero-blocks",
+        "fit-epsilon", "server-epsilon", "experiment-epsilon"])
+def test_invalid_fit_settings_are_config_errors(tmp_path, capsys, argv, key):
+    data = tmp_path / "d.npz"
+    run_cli("synth", "--out", str(data), "--shape", "20x4x3", "--blocks", "1",
+            "--snr-db", "20", "--seed", "0")
+    if argv[0] == "fit":
+        argv = argv + ["--data", str(data)]
+    assert run_cli(*argv, "--out", str(tmp_path / "out")) == EXIT_CONFIG
+    assert f"config field '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_experiment_cli_with_config(tmp_path):

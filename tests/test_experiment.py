@@ -8,9 +8,11 @@ from fbttr.experiment import (
     ConfigError,
     ExperimentConfig,
     build_report,
+    parse_grid,
     read_metrics_csv,
     run_experiment,
 )
+from fbttr.sparse_tucker import HyperGrid
 
 FAST = dict(
     synth_shape="60x5x4",
@@ -77,6 +79,8 @@ def test_grid_range_parsing():
     grid = cfg.hyper_grid()
     assert grid.snr_values == (1.0, 3.0, 5.0)
     assert grid.tau_values == (95.0, 100.0)
+    # the config's default ranges spell the library's default grid
+    assert parse_grid(ExperimentConfig.grid_snr, ExperimentConfig.grid_tau) == HyperGrid()
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fbttr.bttr import FitConfig, fit, predict
+from fbttr.data import make_synthetic
 from fbttr.federated import (
     ClientSession,
     ClientState,
@@ -446,6 +447,19 @@ def test_epsilon_above_norms_still_yields_one_block_then_stops():
     assert model.n_blocks == 1
     central = fit(x, y, cfg)
     assert central.n_blocks == 1
+
+
+def test_epsilon_binding_mid_fit_stops_fit_and_federation_alike():
+    # a noiseless 2-block set leaves residuals near 1e-15 after block 2, so
+    # epsilon=1e-6 binds there; with a smaller epsilon both sides go on to
+    # extract max_blocks=4 blocks of rounding noise
+    ds, _ = make_synthetic((30, 4, 3), n_blocks=2, noise_snr_db=None, seed=0)
+    cfg = FitConfig(max_blocks=4, epsilon=1e-6, grid=GRID)
+    central = fit(ds.x, ds.y, cfg)
+    assert min(central.trace[1]) > cfg.epsilon >= min(central.trace[2])
+    federated = run_federated_fit([(ds.x, ds.y)], cfg)
+    assert central.n_blocks == federated.n_blocks == 2
+    assert np.max(np.abs(predict(central, ds.x) - predict(federated, ds.x))) < 1e-8
 
 
 def test_degenerate_data_raises_fit_error():

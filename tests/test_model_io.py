@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fbttr.bttr import FitConfig, NormStats, fit, predict
+from fbttr.federated import run_federated_fit
 from fbttr.model_io import (
     MAGIC,
     ModelFormatError,
@@ -17,18 +18,21 @@ from fbttr.sparse_tucker import HyperGrid
 GRID = HyperGrid(snr_values=(15.0, 35.0), tau_values=(97.0, 100.0))
 
 
-def fitted_model(with_norm=False, keep_trace=True, seed=0, n=25):
+def fitted_model(with_norm=False, federated=False, seed=0, n=25):
+    """A centralized fit, or with ``federated`` a one-client federation, which carries no trace."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, 5, 4))
     y = (x[:, 1, 1] * 1.5 + 0.1 * rng.normal(size=n)).reshape(-1, 1)
-    norm = NormStats.from_training(x, y) if with_norm else None
-    return fit(x, y, FitConfig(max_blocks=2, grid=GRID), normalization=norm,
-               keep_trace=keep_trace), x
+    cfg = FitConfig(max_blocks=2, grid=GRID)
+    model = run_federated_fit([(x, y)], cfg) if federated else fit(x, y, cfg)
+    model.normalization = NormStats.from_training(x, y) if with_norm else None
+    return model, x
 
 
-@pytest.mark.parametrize("with_norm,keep_trace", [(False, False), (True, True), (False, True)])
-def test_round_trip_bit_exact(with_norm, keep_trace):
-    model, _ = fitted_model(with_norm=with_norm, keep_trace=keep_trace)
+@pytest.mark.parametrize("with_norm,with_trace", [(False, False), (True, True), (False, True)])
+def test_round_trip_bit_exact(with_norm, with_trace):
+    model, _ = fitted_model(with_norm=with_norm, federated=not with_trace)
+    assert (model.trace is not None) == with_trace
     data = model_to_bytes(model)
     back = model_from_bytes(data)
     assert model_to_bytes(back) == data

@@ -447,7 +447,7 @@ def ace_reference(x, y, grid, rank_cap=10):
             best = snr_best
     bic, snr_star, tau_star, res = best
     res = collapse_response_mode(res)
-    t, block_core, score_core = finalize_block(x, res)
+    t, block_core, score_core = finalize_block(x, res.core, res.factors)
     return cells, dict(block_core=block_core, score_core=score_core, q=res.q, t=t,
                        factors=res.factors, snr_star=snr_star, tau_star=tau_star, bic=bic)
 
@@ -545,6 +545,13 @@ def test_hypergrid_validation():
         HyperGrid(snr_values=(), tau_values=(95.0,))
     with pytest.raises(ValueError):
         HyperGrid(snr_values=(2.0, 1.0), tau_values=(95.0,))
+    for snr in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="snr_values"):
+            HyperGrid(snr_values=(snr,), tau_values=(95.0,))
+    for tau in (-0.5, 100.5, math.nan):
+        with pytest.raises(ValueError, match="tau_values"):
+            HyperGrid(snr_values=(1.0,), tau_values=(tau,))
+    HyperGrid(snr_values=(1e-3,), tau_values=(0.0, 100.0))
 
 
 def test_fmpstd_cov_reuses_shared_init():

@@ -119,6 +119,14 @@ def test_decode_rejects_bad_frames():
         decode_message(bytes(bad_cap))
 
 
+def test_hello_with_out_of_range_tau_is_a_wire_error():
+    # HyperGrid rejects tau > 100 on construction, so set it after
+    hello = sample_messages()[0]
+    hello.payload.config.grid.tau_values = (95.0, 150.0)
+    with pytest.raises(WireError, match="tau_values"):
+        decode_message(encode_message(hello))
+
+
 def test_block_update_payload_field_inventory():
     # the update carries cores, factors, loading, coefficient and count only
     msg = sample_messages()[4]
