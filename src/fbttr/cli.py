@@ -109,6 +109,8 @@ def cmd_predict(args) -> int:
 def cmd_federate(args) -> int:
     if args.role == "server":
         cfg = fit_config(args.blocks, args.epsilon, parse_grid(args.grid_snr, args.grid_tau))
+        if args.clients < 1:
+            raise ConfigError("clients", f"must be >= 1, got {args.clients}")
         host, port = _host_port(args.listen)
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)

@@ -196,7 +196,8 @@ class ExperimentConfig:
             raise ConfigError("pooled_clients", "hybrid mode requires an explicit pooled-client list")
         if self.partition not in ("iid", "label_skew", "by_column"):
             raise ConfigError("partition", f"unknown scheme {self.partition!r}")
-        fit_config(k, self.epsilon, self.hyper_grid())
+        cv_folds = self.folds if self.blocks == "cv" else None
+        fit_config(k, self.epsilon, self.hyper_grid(), folds=cv_folds)
         return self
 
     def hyper_grid(self) -> HyperGrid:
@@ -272,10 +273,15 @@ def training_view(ds: Dataset) -> tuple:
 def fit_config(blocks: int, epsilon: float, grid: HyperGrid, folds=None, x=None, y=None,
                task: str = "regression") -> FitConfig:
     """Training configuration with K = ``blocks``, or, when ``folds`` is given,
-    the K up to ``blocks`` that ``folds``-fold cross-validation on (x, y) selects."""
+    the K up to ``blocks`` that ``folds``-fold cross-validation on (x, y) selects.
+
+    Without (x, y), only the settings are checked.
+    """
     _checked("blocks", FitConfig, max_blocks=blocks)  # beside the default, valid epsilon
     cfg = _checked("epsilon", FitConfig, max_blocks=blocks, epsilon=epsilon, grid=grid)
-    if folds is None:
+    if folds is not None and folds < 2:
+        raise ConfigError("folds", f"must be >= 2, got {folds}")
+    if folds is None or x is None:
         return cfg
     cv_task = "binary" if task == "binary" else "regression"
     return replace(cfg, max_blocks=select_k_cv(x, y, cfg, folds, task=cv_task))

@@ -17,6 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .tensor import (
+    _check_mode,
+    _unfold,
     as_matrix,
     as_tensor,
     cross_covariance,
@@ -148,7 +150,7 @@ def _hooi_sweep(c: np.ndarray, mats: list, ranks) -> tuple:
     mats = list(mats)
     for n in range(c.ndim):
         others = {m + 1: a.T for m, a in enumerate(mats) if m != n}
-        mats[n] = _leading_vectors(unfold(multilinear_product(c, others), n + 1), ranks[n])
+        mats[n] = _leading_vectors(_unfold(multilinear_product(c, others), n + 1), ranks[n])
     return mats, multilinear_product(c, {m + 1: a.T for m, a in enumerate(mats)})
 
 
@@ -175,7 +177,7 @@ def hooi_init(c, max_ranks) -> SparseTuckerResult:
     if frobenius_norm(c) == 0.0:
         raise DecompositionError("cannot decompose an all-zero tensor")
 
-    mats = [_leading_vectors(unfold(c, n + 1), ranks[n]) for n in range(c.ndim)]
+    mats = [_leading_vectors(_unfold(c, n + 1), ranks[n]) for n in range(c.ndim)]
     prev_norm = None
     for _ in range(100):
         mats, core = _hooi_sweep(c, mats, ranks)
@@ -236,11 +238,20 @@ def soft_threshold(core, lam: float) -> np.ndarray:
 
 def component_contributions(core: np.ndarray, mode: int) -> np.ndarray:
     """Per-component weight of ``mode`` in ``core``: absolute row sums of the mode unfolding."""
-    return np.abs(unfold(core, mode)).sum(axis=1)
+    core = as_tensor(core)
+    _check_mode(core, mode)
+    return _row_sums(np.abs(core), mode)
 
 
-def _retained_indices(core: np.ndarray, mode: int, tau: float) -> np.ndarray:
-    contrib = component_contributions(core, mode)
+def _row_sums(magnitude: np.ndarray, mode: int) -> np.ndarray:
+    # the sums behind component_contributions, for a caller that takes |core|
+    # once for every mode; the unfolding of |core| is laid out like |unfolding|,
+    # so the sums come out the same to the bit
+    return _unfold(magnitude, mode).sum(axis=1)
+
+
+def _retained_indices(magnitude: np.ndarray, mode: int, tau: float) -> np.ndarray:
+    contrib = _row_sums(magnitude, mode)
     total = contrib.sum()
     threshold = (100.0 - tau) / 100.0
     if total > 0:
@@ -261,8 +272,9 @@ def prune(result: SparseTuckerResult, tau: float) -> SparseTuckerResult:
     """
     if not 0.0 <= tau <= 100.0:
         raise ValueError(f"tau must lie in [0, 100], got {tau}")
-    core = result.core
-    keep_sets = [_retained_indices(core, n + 1, tau) for n in range(core.ndim)]
+    core = as_tensor(result.core)
+    magnitude = np.abs(core)
+    keep_sets = [_retained_indices(magnitude, n + 1, tau) for n in range(core.ndim)]
     for n, keep in enumerate(keep_sets):
         core = np.take(core, keep, axis=n)
     q = result.q[:, keep_sets[0]]

@@ -111,24 +111,58 @@ def vec(t) -> np.ndarray:
     return unfold(t, 1).ravel()
 
 
-def mode_n_product(t, m, mode: int) -> np.ndarray:
-    """Mode-n product: contract ``m`` (rows x I_mode) against mode ``mode`` of ``t``."""
-    t = as_tensor(t)
+def _checked_factor(t: np.ndarray, m, mode: int) -> np.ndarray:
     m = as_matrix(m)
     _check_mode(t, mode)
     if m.shape[1] != t.shape[mode - 1]:
         raise ValueError(
             f"mode-{mode} product needs cols(m)={t.shape[mode - 1]}, got {m.shape[1]}"
         )
-    out = np.tensordot(m, t, axes=(1, mode - 1))
-    return np.ascontiguousarray(np.moveaxis(out, 0, mode - 1))
+    return m
+
+
+def _mode_product(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
+    """Unchecked mode-n product of arrays the caller has validated.
+
+    ``np.tensordot(m, t, axes=(1, mode - 1))`` written out, so ``np.dot``
+    sees the same operands and the result is byte-identical; the transposed
+    copy of ``t`` is dropped before the contiguous result is made, as it is
+    when ``tensordot`` returns.
+    """
+    k = mode - 1
+    rest = [i for i in range(t.ndim) if i != k]
+    moved = t.transpose([k] + rest).reshape(t.shape[k], -1)
+    out = np.dot(m, moved).reshape([m.shape[0]] + [t.shape[i] for i in rest])
+    del moved
+    back = list(range(1, mode)) + [0] + list(range(mode, t.ndim))  # np.moveaxis(out, 0, k)
+    return np.ascontiguousarray(out.transpose(back))
+
+
+def _unfold(t: np.ndarray, mode: int) -> np.ndarray:
+    """Unchecked :func:`unfold` of an array the caller has validated.
+
+    :func:`unfold` keeps its own body: it is on the predict path, which
+    changes only with a measurement of its own (ROADMAP item 5).
+    """
+    k = mode - 1
+    return t.transpose([k] + [i for i in range(t.ndim) if i != k]).reshape(t.shape[k], -1, order="F")
+
+
+def mode_n_product(t, m, mode: int) -> np.ndarray:
+    """Mode-n product: contract ``m`` (rows x I_mode) against mode ``mode`` of ``t``."""
+    t = as_tensor(t)
+    return _mode_product(t, _checked_factor(t, m, mode), mode)
 
 
 def multilinear_product(t, factors: Mapping[int, np.ndarray]) -> np.ndarray:
-    """Apply a mode->matrix map of mode-n products; order of application is immaterial."""
+    """Apply a mode->matrix map of mode-n products; order of application is immaterial.
+
+    ``t`` and every factor are checked once, before any product is taken.
+    """
     out = as_tensor(t)
-    for mode in sorted(factors):
-        out = mode_n_product(out, factors[mode], mode)
+    checked = [(mode, _checked_factor(out, factors[mode], mode)) for mode in sorted(factors)]
+    for mode, m in checked:
+        out = _mode_product(out, m, mode)
     return out
 
 

@@ -117,12 +117,18 @@ def test_federate_client_unreachable_server_exit_code(tmp_path, capsys):
     (["fit", "--epsilon=-1"], "epsilon"),
     (["federate", "--role", "server", "--listen", "127.0.0.1:0", "--epsilon=-1"], "epsilon"),
     (["experiment", "--epsilon=-1"], "epsilon"),
+    (["fit", "--cv", "--folds", "1"], "folds"),
+    (["experiment", "--blocks", "cv", "--config", "{tmp}/folds.cfg"], "folds"),
+    (["federate", "--role", "server", "--listen", "127.0.0.1:0", "--clients", "0"], "clients"),
 ], ids=["snr-inf", "snr-nan", "tau-above-100", "tau-all-above-100", "zero-blocks",
-        "fit-epsilon", "server-epsilon", "experiment-epsilon"])
+        "fit-epsilon", "server-epsilon", "experiment-epsilon", "fit-one-fold",
+        "experiment-one-fold", "server-zero-clients"])
 def test_invalid_fit_settings_are_config_errors(tmp_path, capsys, argv, key):
     data = tmp_path / "d.npz"
     run_cli("synth", "--out", str(data), "--shape", "20x4x3", "--blocks", "1",
             "--snr-db", "20", "--seed", "0")
+    (tmp_path / "folds.cfg").write_text("folds=1\n", encoding="utf-8")
+    argv = [a.format(tmp=tmp_path) for a in argv]
     if argv[0] == "fit":
         argv = argv + ["--data", str(data)]
     assert run_cli(*argv, "--out", str(tmp_path / "out")) == EXIT_CONFIG

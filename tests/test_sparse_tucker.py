@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import fbttr.sparse_tucker as st
 from fbttr.data import make_synthetic
@@ -14,6 +16,7 @@ from fbttr.sparse_tucker import (
     ace,
     bic_score,
     collapse_response_mode,
+    component_contributions,
     f_mpstd,
     f_mpstd_cov,
     finalize_block,
@@ -203,6 +206,19 @@ def test_prune_tau_out_of_range():
     res = result_with_core(np.ones((1, 2, 2)))
     with pytest.raises(ValueError):
         prune(res, 101.0)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(shape=hst.lists(hst.integers(1, 4), min_size=1, max_size=5),
+       seed=hst.integers(0, 2**32 - 1))
+def test_component_contributions_equal_abs_unfolding_row_sums(shape, seed):
+    # prune takes |core| once for every mode: its sums must equal the row
+    # sums of each |unfolding| to the bit, or it could keep other components
+    core = np.random.default_rng(seed).normal(size=shape)
+    for mode in range(1, len(shape) + 1):
+        unfolding = np.moveaxis(core, mode - 1, 0).reshape(shape[mode - 1], -1, order="F")
+        expected = np.abs(unfolding).sum(axis=1)
+        assert component_contributions(core, mode).tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

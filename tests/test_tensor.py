@@ -1,9 +1,13 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbttr.tensor import (
+    _unfold,
     as_tensor,
     cross_covariance,
     fold,
@@ -125,12 +129,17 @@ def test_unfold_mode_out_of_range():
         unfold(np.zeros((2, 2)), 3)
     with pytest.raises(ValueError):
         unfold(np.zeros((2, 2)), 0)
+    for mode in (0, 3):
+        with pytest.raises(ValueError):
+            multilinear_product(np.zeros((2, 2)), {1: np.eye(2), mode: np.eye(2)})
 
 
 def test_nan_rejected():
     bad = np.array([1.0, np.nan])
     with pytest.raises(ValueError):
         as_tensor(bad)
+    with pytest.raises(ValueError):
+        multilinear_product(np.ones((2, 2)), {1: np.eye(2), 2: np.array([[1.0, np.nan]])})
 
 
 def test_order_above_eight_rejected():
@@ -176,6 +185,8 @@ def test_mode_product_equals_fold_of_matrix_product():
 def test_mode_product_dimension_mismatch():
     with pytest.raises(ValueError):
         mode_n_product(np.zeros((2, 3)), np.zeros((2, 4)), 2)
+    with pytest.raises(ValueError):
+        multilinear_product(np.zeros((2, 3)), {1: np.eye(2), 2: np.zeros((2, 4))})
 
 
 # ---------------------------------------------------------------------------
@@ -322,3 +333,84 @@ def test_vec_requires_unit_leading_extent():
         vec(np.zeros((2, 3)))
     g = np.arange(6, dtype=float).reshape(1, 2, 3)
     assert np.array_equal(vec(g), unfold(g, 1).ravel())
+
+
+# ---------------------------------------------------------------------------
+# byte oracle for the unchecked kernels
+# ---------------------------------------------------------------------------
+
+def tensordot_mode_product(t, m, mode):
+    """The ``np.tensordot`` spelling of a mode product that the kernel writes out.
+
+    A factor is checked into a C-contiguous copy before any product, so the
+    reference takes it in that form: ``tensordot`` on a transposed view can
+    reach a different BLAS routine and differ in the last bits.
+    """
+    m = np.ascontiguousarray(m)
+    return np.ascontiguousarray(np.moveaxis(np.tensordot(m, t, axes=(1, mode - 1)), 0, mode - 1))
+
+
+@st.composite
+def factored_tensors(draw):
+    """A tensor of order 1-5, factors for a nonempty set of its modes (each
+    with 1-4 rows, C-contiguous or a transposed view) and one of its modes."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    modes = draw(st.sets(st.integers(1, len(shape)), min_size=1))
+    factors = {}
+    for mode in sorted(modes):
+        rows = draw(st.integers(1, 4))
+        if draw(st.booleans()):
+            factors[mode] = rng.normal(size=(shape[mode - 1], rows)).T
+        else:
+            factors[mode] = rng.normal(size=(rows, shape[mode - 1]))
+    return rng.normal(size=shape), factors, draw(st.integers(1, len(shape)))
+
+
+def assert_same_bytes(got, expected):
+    assert got.shape == expected.shape
+    assert got.flags.c_contiguous
+    assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(factored_tensors())
+def test_mode_products_equal_tensordot_byte_for_byte(case):
+    t, factors, _ = case
+    expected = t
+    for mode in sorted(factors):
+        assert_same_bytes(mode_n_product(t, factors[mode], mode),
+                          tensordot_mode_product(t, factors[mode], mode))
+        expected = tensordot_mode_product(expected, factors[mode], mode)
+    assert_same_bytes(multilinear_product(t, factors), expected)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(factored_tensors())
+def test_unchecked_unfold_equals_moveaxis_reshape(case):
+    t, _, mode = case
+    expected = np.moveaxis(t, mode - 1, 0).reshape(t.shape[mode - 1], -1, order="F")
+    got = _unfold(t, mode)
+    assert got.shape == expected.shape
+    assert got.strides == expected.strides
+    assert got.tobytes() == expected.tobytes()
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_mode_product_peak_memory_at_most_tensordot():
+    # the kernel must drop its transposed copy of t before it makes the
+    # contiguous result, as tensordot does when it returns
+    rng = np.random.default_rng(16)
+    t = rng.normal(size=(200, 12, 8, 6))
+    m = rng.normal(size=(10, 12))
+    assert _traced_peak(lambda: mode_n_product(t, m, 2)) \
+        <= _traced_peak(lambda: tensordot_mode_product(t, m, 2))
