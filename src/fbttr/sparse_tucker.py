@@ -18,6 +18,7 @@ import numpy as np
 
 from .tensor import (
     _check_mode,
+    _mode_product,
     _unfold,
     as_matrix,
     as_tensor,
@@ -146,12 +147,27 @@ def _leading_vectors(m: np.ndarray, r: int) -> np.ndarray:
 
 
 def _hooi_sweep(c: np.ndarray, mats: list, ranks) -> tuple:
-    """One alternating pass over every mode: the new factors and their projected core."""
+    """One alternating pass over every mode: the new factors and their projected core.
+
+    ``head`` is ``c`` times the factors this pass has already refreshed, so
+    mode n applies only the later modes' old factors to it, and after the
+    last mode ``head`` is the core.  Each product gets the operands, in the
+    order, that projecting ``c`` afresh for every mode would give it, so the
+    factors and core are byte-identical to doing that.  A mode of extent 1
+    skips its SVD.
+    """
     mats = list(mats)
+    head = c
     for n in range(c.ndim):
-        others = {m + 1: a.T for m, a in enumerate(mats) if m != n}
-        mats[n] = _leading_vectors(_unfold(multilinear_product(c, others), n + 1), ranks[n])
-    return mats, multilinear_product(c, {m + 1: a.T for m, a in enumerate(mats)})
+        if c.shape[n] == 1:
+            # the leading vector of any 1 x k matrix, signs fixed
+            mats[n] = np.ones((1, 1))
+        else:
+            later = {m + 1: mats[m].T for m in range(n + 1, c.ndim)}
+            mats[n] = _leading_vectors(_unfold(multilinear_product(head, later), n + 1), ranks[n])
+        # the contiguous transpose is what multilinear_product's check hands np.dot
+        head = _mode_product(head, np.ascontiguousarray(mats[n].T), n + 1)
+    return mats, head
 
 
 def hooi_init(c, max_ranks) -> SparseTuckerResult:
@@ -251,6 +267,9 @@ def _row_sums(magnitude: np.ndarray, mode: int) -> np.ndarray:
 
 
 def _retained_indices(magnitude: np.ndarray, mode: int, tau: float) -> np.ndarray:
+    if magnitude.shape[mode - 1] == 1:
+        # a lone component is kept at every tau, even from an all-zero core
+        return np.array([0])
     contrib = _row_sums(magnitude, mode)
     total = contrib.sum()
     threshold = (100.0 - tau) / 100.0
@@ -269,12 +288,19 @@ def prune(result: SparseTuckerResult, tau: float) -> SparseTuckerResult:
     Contributions are absolute row sums of each mode unfolding of the core.
     At least the single highest-contribution component per mode is always
     retained, so the result never loses a mode entirely.
+
+    When every mode keeps every component, the result shares the input's
+    core, ``q`` and factors, in their C order; otherwise ``q`` and the
+    factors are fresh F-ordered copies.  Callers read them and never write
+    into them.
     """
     if not 0.0 <= tau <= 100.0:
         raise ValueError(f"tau must lie in [0, 100], got {tau}")
     core = as_tensor(result.core)
     magnitude = np.abs(core)
     keep_sets = [_retained_indices(magnitude, n + 1, tau) for n in range(core.ndim)]
+    if all(keep.size == ext for keep, ext in zip(keep_sets, core.shape)):
+        return replace(result, core=core)
     for n, keep in enumerate(keep_sets):
         core = np.take(core, keep, axis=n)
     q = result.q[:, keep_sets[0]]
@@ -355,12 +381,15 @@ def f_mpstd_cov(
     elapse.  A non-converged run returns the last iterate with
     ``converged=False``.  With ``search`` (a :class:`GridSearch` of this
     ``c``), the cell starts from its HOOI start and takes every refresh from
-    its cache; the result is bit-identical to running without it.
+    its cache; the result is bit-identical to running without it.  Giving
+    both ``init`` and ``search`` is a ``ValueError``.
     """
     c = as_tensor(c)
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
     if search is not None:
+        if init is not None:
+            raise ValueError("give init or search, not both: a search starts from its own init")
         init = search.init
     if init is None:
         ranks = [min(ext, rank_cap) for ext in c.shape]

@@ -106,7 +106,7 @@ class SocketChannel:
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
-        self._buffer = b""
+        self._buffer = bytearray()
 
     def send(self, msg: Message) -> bytes:
         frame = encode_message(msg)
@@ -126,8 +126,8 @@ class SocketChannel:
             if not chunk:
                 raise ConnectionError("connection closed")
             self._buffer += chunk
-        out = self._buffer[:n]
-        self._buffer = self._buffer[n:]
+        out = bytes(self._buffer[:n])
+        del self._buffer[:n]
         return out
 
     def recv_frame(self, timeout: float = DEFAULT_ROUND_TIMEOUT) -> bytes:

@@ -27,11 +27,13 @@ from fbttr.transport import (
     ClientDropout,
     LoopbackTransport,
     ProtocolError,
+    SocketChannel,
     serve_clients,
 )
 from fbttr.wire import (
     AceReport,
     BlockUpdate,
+    DeflateAck,
     GlobalBlock,
     Hello,
     HyperAssign,
@@ -516,6 +518,45 @@ def test_socket_transport_matches_loopback_bit_for_bit():
         t.join(timeout=120)
     listener.close()
     assert model_to_bytes(result["model"]) == model_to_bytes(loop_model)
+
+
+@pytest.mark.parametrize("case", ["two-frames-one-send", "one-byte-sends", "large-body"])
+def test_socket_channel_reassembles_frames(case):
+    rng = np.random.default_rng(74)
+    if case == "large-body":
+        # 3000 x 10 doubles: a body well over 200 KiB, more than one recv chunk
+        block = GlobalBlock(core=rng.normal(size=(1, 10, 2)), score_core=rng.normal(size=(1, 10, 2)),
+                            factors=[rng.normal(size=(3000, 10)), rng.normal(size=(4, 2))],
+                            q=np.ones((1, 1)), d=0.5)
+        frames = [encode_message(Message(MessageKind.GLOBAL_BLOCK, 1, 0, block))]
+        assert len(frames[0]) > 200 * 1024
+    else:
+        frames = [encode_message(Message(MessageKind.DEFLATE_ACK, 1, 0, DeflateAck(e_norm=2.5, f_norm=0.25))),
+                  encode_message(Message(MessageKind.HYPER_ASSIGN, 1, 0,
+                                         HyperAssign(snr=12.0, tau=97.0, target_ranks=(2, 1))))]
+    if case == "one-byte-sends":
+        frames = frames[:1]
+    a, b = socket.socketpair()
+
+    def sender():
+        if case == "one-byte-sends":
+            for byte in frames[0]:
+                b.sendall(bytes([byte]))
+                time.sleep(0.001)
+        else:
+            b.sendall(b"".join(frames))
+
+    channel = SocketChannel(a)
+    t = threading.Thread(target=sender)
+    try:
+        t.start()
+        got = [channel.recv_frame(timeout=30) for _ in frames]
+        t.join(timeout=30)
+    finally:
+        a.close()
+        b.close()
+    assert not t.is_alive()
+    assert got == frames and all(type(g) is bytes for g in got)
 
 
 @pytest.mark.parametrize("says_hello", [True, False], ids=["after-hello", "instead-of-hello"])

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 import fbttr.sparse_tucker as st
@@ -82,6 +82,59 @@ def test_hooi_factors_orthonormal():
     res = hooi_init(c, (2, 3, 2))
     for m in [res.q] + res.factors:
         assert np.allclose(m.T @ m, np.eye(m.shape[1]), atol=1e-10)
+
+
+def hooi_sweep_reference(c, mats, ranks):
+    """One HOOI pass that projects ``c`` afresh for every mode, then once more for the core."""
+    mats = list(mats)
+    for n in range(c.ndim):
+        others = {m + 1: a.T for m, a in enumerate(mats) if m != n}
+        mats[n] = st._leading_vectors(st._unfold(multilinear_product(c, others), n + 1), ranks[n])
+    return mats, multilinear_product(c, {m + 1: a.T for m, a in enumerate(mats)})
+
+
+@hst.composite
+def sweep_cases(draw):
+    # extent-1 modes are drawn often: mode 1 has extent 1 whenever y has one column
+    order = draw(hst.integers(2, 5))
+    shape = tuple(draw(hst.one_of(hst.just(1), hst.integers(1, 6))) for _ in range(order))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    total = math.prod(shape)
+    ranks = [draw(hst.integers(1, min(ext, total // ext))) for ext in shape]
+    mats = []
+    for ext, r in zip(shape, ranks):
+        a = random_orthonormal(rng, ext, r) * draw(hst.sampled_from([1.0, -1.0]))
+        # pruned factors arrive in F order, refreshed ones in C order
+        mats.append(np.asfortranarray(a) if draw(hst.booleans()) else a)
+    c = rng.normal(size=shape)
+    # zeros of either sign: a product with [[1.0]] turns -0.0 into 0.0, as the sweep must too
+    c[rng.random(size=shape) < draw(hst.sampled_from([0.0, 0.2]))] = -0.0
+    return c, mats, ranks
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(sweep_cases())
+def test_hooi_sweep_equals_per_mode_projection_reference(case):
+    c, mats, ranks = case
+    got_mats, got_core = st._hooi_sweep(c, mats, ranks)
+    ref_mats, ref_core = hooi_sweep_reference(c, mats, ranks)
+    for u, v in zip([got_core] + got_mats, [ref_core] + ref_mats):
+        assert u.shape == v.shape and u.tobytes() == v.tobytes()
+
+
+_magnitudes = hst.floats(min_value=1e-300, max_value=1e300)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(hst.lists(hst.one_of(hst.just(0.0), _magnitudes, _magnitudes.map(lambda v: -v)),
+                 min_size=1, max_size=8))
+@example([0.0])
+@example([0.0, -0.0, 0.0])
+@example([-1e-300, 1e300, -1e300])
+def test_leading_vector_of_a_single_row_is_one(row):
+    # _hooi_sweep sets an extent-1 mode's factor to [[1.0]] without an SVD
+    u = st._leading_vectors(np.array([row]), 1)
+    assert u.shape == (1, 1) and u.tobytes() == np.ones((1, 1)).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +259,49 @@ def test_prune_tau_out_of_range():
     res = result_with_core(np.ones((1, 2, 2)))
     with pytest.raises(ValueError):
         prune(res, 101.0)
+
+
+def prune_reference(result, tau):
+    """prune as a take of the retained components of every mode, even when it keeps them all."""
+    core = result.core
+    keep_sets = []
+    for mode in range(1, core.ndim + 1):
+        contrib = component_contributions(core, mode)
+        total = contrib.sum()
+        threshold = (100.0 - tau) / 100.0
+        keep = np.where(contrib / total > threshold)[0] if total > 0 else np.array([], dtype=int)
+        if keep.size == 0:
+            keep = np.array([int(np.argmax(contrib))])
+        keep_sets.append(keep)
+    for n, keep in enumerate(keep_sets):
+        core = np.take(core, keep, axis=n)
+    q = result.q[:, keep_sets[0]]
+    factors = [f[:, keep_sets[n + 1]] for n, f in enumerate(result.factors)]
+    return replace(result, core=np.ascontiguousarray(core), q=q, factors=factors)
+
+
+@hst.composite
+def prunable_results(draw):
+    order = draw(hst.integers(2, 4))
+    shape = tuple(draw(hst.one_of(hst.just(1), hst.integers(1, 4))) for _ in range(order))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    core = rng.normal(size=shape) * draw(hst.sampled_from([1.0, 1e-300, 1e300, 0.0]))
+    for axis in [n for n, ext in enumerate(shape) if ext > 1 and draw(hst.booleans())]:
+        core[(slice(None),) * axis + (draw(hst.integers(0, shape[axis] - 1)),)] = 0.0
+    core[rng.random(size=shape) < draw(hst.sampled_from([0.0, 0.3]))] = -0.0
+    return result_with_core(core, rng), draw(hst.sampled_from([0.0, 50.0, 90.0, 99.0, 100.0]))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(prunable_results())
+def test_prune_equals_take_reference(case):
+    res, tau = case
+    inputs = [res.core, res.q] + res.factors
+    before = [m.tobytes() for m in inputs]
+    got, ref = prune(res, tau), prune_reference(res, tau)
+    for u, v in zip([got.core, got.q] + got.factors, [ref.core, ref.q] + ref.factors):
+        assert u.shape == v.shape and u.tobytes() == v.tobytes()
+    assert [m.tobytes() for m in inputs] == before
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -576,7 +672,13 @@ def test_fmpstd_cov_reuses_shared_init():
     y = (x[:, 2, 2] + 0.1 * rng.normal(size=40)).reshape(-1, 1)
     c = cross_covariance(x, y)
     init = hooi_init(c, [min(e, 10) for e in c.shape])
+    # a pruned result can share init's arrays: the cell must never write into them
+    for m in [init.core, init.q] + init.factors:
+        m.setflags(write=False)
     a = f_mpstd_cov(c, 15.0, 97.0, init=init)
     b = f_mpstd(x, y, snr=15.0, tau=97.0)
     assert np.allclose(a.core, b.core, atol=1e-12)
     assert a.ranks == b.ranks
+    # a search starts from its own init, so one given beside it would be dropped
+    with pytest.raises(ValueError, match="not both"):
+        f_mpstd_cov(c, 15.0, 97.0, init=init, search=st.GridSearch(c, 10))
