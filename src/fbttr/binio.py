@@ -13,14 +13,15 @@ same bytes for the same block.
 from __future__ import annotations
 
 import struct
+from math import prod
 
 import numpy as np
 
-__all__ = ["Writer", "Reader", "TruncatedError"]
+__all__ = ["Writer", "Reader", "CodecError"]
 
 
-class TruncatedError(ValueError):
-    pass
+class CodecError(ValueError):
+    """Bytes that are no valid encoding: truncated, inconsistent or not UTF-8."""
 
 
 class Writer:
@@ -81,7 +82,7 @@ class Reader:
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
-            raise TruncatedError("truncated data")
+            raise CodecError("truncated data")
         out = self.data[self.pos:self.pos + n]
         self.pos += n
         return out
@@ -96,8 +97,11 @@ class Reader:
         return struct.unpack("<d", self.take(8))[0]
 
     def string(self) -> str:
-        n = self.u32()
-        return self.take(n).decode("utf-8")
+        data = self.take(self.u32())
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CodecError(f"string is not UTF-8: {e.reason}") from e
 
     def array(self) -> np.ndarray:
         n = self.u32()
@@ -107,19 +111,21 @@ class Reader:
         rows, cols = self.u32(), self.u32()
         a = self.array()
         if a.size != rows * cols:
-            raise TruncatedError("matrix size mismatch")
+            raise CodecError("matrix size mismatch")
         return a.reshape(rows, cols)
 
     def tensor(self) -> np.ndarray:
-        order = self.u32()
-        shape = tuple(self.u32() for _ in range(order))
+        shape = tuple(self.u32() for _ in range(self.u32()))
         a = self.array()
-        if a.size != int(np.prod(shape)):
-            raise TruncatedError("tensor size mismatch")
-        return a.reshape(shape)
+        if a.size != prod(shape):
+            raise CodecError("tensor size mismatch")
+        try:
+            return a.reshape(shape)
+        except ValueError as e:  # an empty tensor whose other extents overflow
+            raise CodecError(str(e)) from e
 
     def block(self) -> tuple:
-        """Read ``(core, score_core, factors, q, d)``."""
+        """Read ``(core, score_core, factors, q, d)``, the fields of :class:`fbttr.bttr.Block`."""
         core = self.tensor()
         score_core = self.tensor()
         factors = [self.matrix() for _ in range(self.u32())]

@@ -105,23 +105,21 @@ class NormStats:
 
 @dataclass
 class Block:
-    """One extracted component.
+    """One extracted component, as a model stores it and the wire carries it.
 
     ``core`` is the block projection of the predictor residual (mode-1
     extent 1), ``score_core`` the scaled core whose vectorisation maps the
     factor-projected residual onto the unit score vector, ``q`` the unit
-    response loading and ``d`` the regression coefficient.  ``t`` keeps the
-    training score for diagnostics; it has one entry per training sample,
-    so a block aggregated from several parties or loaded from a model file
-    carries no t.
+    response loading and ``d`` the regression coefficient.  Fields follow
+    the :meth:`fbttr.binio.Writer.block` layout, so ``Block(*reader.block())``
+    decodes one.  No field is sized by the training samples.
     """
 
     core: np.ndarray
+    score_core: np.ndarray
     factors: list
     q: np.ndarray
     d: float
-    score_core: np.ndarray
-    t: Optional[np.ndarray] = None
 
     @property
     def feature_ranks(self) -> tuple:
@@ -232,8 +230,7 @@ def fit(x, y, cfg: FitConfig, normalization: Optional[NormStats] = None) -> Bttr
             break
         q = a.q / np.linalg.norm(a.q)
         e, f, d = deflate(e, f, a.block_core, a.factors, q, a.t)
-        blocks.append(Block(core=a.block_core, factors=a.factors, q=q, d=d,
-                            score_core=a.score_core, t=a.t))
+        blocks.append(Block(a.block_core, a.score_core, a.factors, q, d))
         trace.append((frobenius_norm(e), frobenius_norm(f)))
 
     w, z = materialize_predictor(blocks, x.shape[1:])

@@ -283,8 +283,7 @@ def fit_config(blocks: int, epsilon: float, grid: HyperGrid, folds=None, x=None,
         raise ConfigError("folds", f"must be >= 2, got {folds}")
     if folds is None or x is None:
         return cfg
-    cv_task = "binary" if task == "binary" else "regression"
-    return replace(cfg, max_blocks=select_k_cv(x, y, cfg, folds, task=cv_task))
+    return replace(cfg, max_blocks=select_k_cv(x, y, cfg, folds, task=task))
 
 
 def _score_block(task: str, pred: np.ndarray, y_block: np.ndarray) -> dict:

@@ -5,10 +5,10 @@ component extraction on its local residuals and reports hyperparameters
 and ranks; the hub harmonises ranks to the elementwise minimum, assigns
 each client its own selected (SNR, tau), aggregates the returned block
 parameters by a sample-count-weighted average after sign/permutation
-alignment, and broadcasts the global block.  Clients recompute their score
-vector locally from the global factors and deflate their residuals; only
-cores, factors, loadings, scalars, norms and sample counts ever cross the
-wire.
+alignment, and broadcasts the global block; the model is the list of
+broadcast blocks.  Clients recompute their score vector locally from the
+global factors and deflate their residuals; only cores, factors, loadings,
+scalars, norms and sample counts ever cross the wire.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .wire import (
     DeflateAck,
     Done,
     ErrorCode,
-    GlobalBlock,
     Hello,
     HyperAssign,
     Message,
@@ -140,7 +139,7 @@ def client_local_block(state: ClientState, assignment: HyperAssign, cfg: FitConf
     """
     e, f = state.e_residual, state.f_residual
     if not first_block and cfg.stops(frobenius_norm(e), frobenius_norm(f)):
-        return BlockUpdate(skip=True, n_samples=state.sample_count)
+        return BlockUpdate(state.sample_count)
 
     reuse = (
         cached is not None
@@ -159,11 +158,11 @@ def client_local_block(state: ClientState, assignment: HyperAssign, cfg: FitConf
         factors, q = res.factors, res.q
 
     q = q / np.linalg.norm(q)
-    return BlockUpdate(skip=False, n_samples=state.sample_count, core=block_core,
-                       score_core=score_core, factors=list(factors), q=q, d=coefficient(f, q, t))
+    block = Block(block_core, score_core, list(factors), q, coefficient(f, q, t))
+    return BlockUpdate(state.sample_count, block)
 
 
-def client_deflate(state: ClientState, gb: GlobalBlock) -> tuple:
+def client_deflate(state: ClientState, gb: Block) -> tuple:
     """Deflate local residuals against the broadcast global block.
 
     The score vector is recomputed locally from the global factors and
@@ -207,10 +206,9 @@ def _greedy_column_match(ref: np.ndarray, cand: np.ndarray) -> np.ndarray:
     return perm
 
 
-def _align_update(ref: BlockUpdate, upd: BlockUpdate) -> BlockUpdate:
-    """Resolve sign and column-permutation ambiguity against the reference update."""
-    core = upd.core.copy()
-    score_core = upd.score_core.copy()
+def _align_update(ref: Block, upd: Block) -> Block:
+    """Resolve sign and column-permutation ambiguity against the reference block."""
+    core, score_core = upd.core, upd.score_core
     factors = []
     for n, (rf, uf) in enumerate(zip(ref.factors, upd.factors)):
         axis = n + 1
@@ -227,19 +225,17 @@ def _align_update(ref: BlockUpdate, upd: BlockUpdate) -> BlockUpdate:
         score_core = score_core * signs.reshape(shape)
         factors.append(uf)
     q = upd.q
-    d = upd.d
     if float(np.sum(ref.q * q)) < 0:
         # flipping the response loading flips the score map, hence the score,
         # hence the block core; d = u't is invariant
         q = -q
         score_core = -score_core
         core = -core
-    return BlockUpdate(skip=False, n_samples=upd.n_samples, core=core,
-                       score_core=score_core, factors=factors, q=q, d=d)
+    return Block(core, score_core, factors, q, upd.d)
 
 
-def aggregate_block(updates) -> GlobalBlock:
-    """Sample-count-weighted average of aligned block updates.
+def aggregate_block(updates) -> Block:
+    """Sample-count-weighted average of the aligned blocks of non-skip updates.
 
     Updates must share shapes (guaranteed by rank harmonisation).  Averaged
     factors are re-orthonormalised by a thin QR with the triangular
@@ -249,21 +245,21 @@ def aggregate_block(updates) -> GlobalBlock:
     updates = list(updates)
     if not updates:
         raise ValueError("no updates to aggregate")
-    ref = updates[0]
-    for u in updates[1:]:
-        if u.core.shape != ref.core.shape or u.q.shape != ref.q.shape or any(
-            a.shape != b.shape for a, b in zip(u.factors, ref.factors)
+    ref, *rest = [u.block for u in updates]
+    for b in rest:
+        if b.core.shape != ref.core.shape or b.q.shape != ref.q.shape or any(
+            x.shape != y.shape for x, y in zip(b.factors, ref.factors)
         ):
             raise ProtocolError("block update shapes differ; harmonization was violated")
-    aligned = [ref] + [_align_update(ref, u) for u in updates[1:]]
+    aligned = [ref] + [_align_update(ref, b) for b in rest]
     w = aggregation_weights([u.n_samples for u in updates])
 
-    core = sum(wi * u.core for wi, u in zip(w, aligned))
-    score_core = sum(wi * u.score_core for wi, u in zip(w, aligned))
-    q = sum(wi * u.q for wi, u in zip(w, aligned))
-    d = float(sum(wi * u.d for wi, u in zip(w, aligned)))
+    core = sum(wi * b.core for wi, b in zip(w, aligned))
+    score_core = sum(wi * b.score_core for wi, b in zip(w, aligned))
+    q = sum(wi * b.q for wi, b in zip(w, aligned))
+    d = float(sum(wi * b.d for wi, b in zip(w, aligned)))
     factors = [
-        sum(wi * u.factors[n] for wi, u in zip(w, aligned))
+        sum(wi * b.factors[n] for wi, b in zip(w, aligned))
         for n in range(len(ref.factors))
     ]
 
@@ -281,9 +277,7 @@ def aggregate_block(updates) -> GlobalBlock:
     q_norm = float(np.linalg.norm(q))
     if q_norm == 0.0:
         raise ProtocolError("aggregated response loading vanished")
-    q = q / q_norm
-    d = d * q_norm
-    return GlobalBlock(core=core, score_core=score_core, factors=ortho, q=q, d=d)
+    return Block(core, score_core, ortho, q / q_norm, d * q_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +472,7 @@ def _run_round(transport, live, rnd: int):
 def federated_fit_over(transport, cfg: FitConfig) -> BttrModel:
     """Drive the hub protocol over an already-connected transport."""
     feature_shape = _handshake(transport, cfg)
-    global_blocks = []
+    blocks = []
     rnd = 0
     while rnd < cfg.max_blocks:
         rnd += 1
@@ -499,7 +493,7 @@ def federated_fit_over(transport, cfg: FitConfig) -> BttrModel:
                     ))
         if gb is None:
             break
-        global_blocks.append(gb)
+        blocks.append(gb)
         # broadcast and wait at the deflation barrier; the round is committed,
         # so a failure here only excludes that client from future rounds
         for cid in transport.client_ids():
@@ -512,16 +506,11 @@ def federated_fit_over(transport, cfg: FitConfig) -> BttrModel:
 
     for cid in transport.client_ids():
         _send_or_drop(transport, cid, Message(
-            MessageKind.DONE, rnd, cid, Done(blocks_extracted=len(global_blocks))
+            MessageKind.DONE, rnd, cid, Done(blocks_extracted=len(blocks))
         ))
 
-    if not global_blocks:
+    if not blocks:
         raise FitError("no block could be extracted on any client")
-    blocks = [
-        Block(core=gb.core, factors=list(gb.factors), q=gb.q, d=gb.d,
-              score_core=gb.score_core, t=None)
-        for gb in global_blocks
-    ]
     w, z = materialize_predictor(blocks, feature_shape)
     return BttrModel(blocks=blocks, w=w, z=z, input_shape=tuple(feature_shape))
 

@@ -10,19 +10,20 @@ Layout (all integers little-endian):
     flags               u8       bit0 normalization, bit1 trace
     [normalization]     arrays x_mean, x_std (feature-shaped, flattened
                         row-major), y_mean, y_std
-    blocks              per block, the fields a wire block carries:
-                          core tensor, score_core tensor,
-                          u32 n_factors, factor matrices,
-                          q matrix, d f64
+    blocks              per block, the fields of a bttr.Block, as a wire
+                        block carries them: core tensor, score_core
+                        tensor, u32 n_factors, factor matrices,
+                        q matrix, d f64
     w matrix, z matrix
     [trace]             u32 count, then (e, f) f64 pairs
 
 Encoding of arrays, matrices, tensors and blocks follows :mod:`fbttr.binio`.
-A block's training score ``t`` has one entry per training sample and is
-not stored, so loaded blocks carry ``t=None``.  ``w`` and ``z`` are
-stored although :func:`fbttr.bttr.materialize_predictor` derives them
-from the blocks: on an 8-block rank-(10,10,10) model over 32x16x20
-features, deriving them takes about 4 ms and parsing them about 0.6 ms.
+A header without a feature mode or with an empty one, or normalization
+arrays that do not match the feature shape and response count, make a
+file invalid.  ``w`` and ``z`` are stored although
+:func:`fbttr.bttr.materialize_predictor` derives them from the blocks: on
+an 8-block rank-(10,10,10) model over 32x16x20 features, deriving them
+takes about 4 ms and parsing them about 0.6 ms.
 Files of other versions, ``FBTTRv01`` included, are rejected.
 """
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from math import prod
 
-from .binio import Reader, TruncatedError, Writer
+from .binio import CodecError, Reader, Writer
 from .bttr import Block, BttrModel, NormStats
 
 MAGIC = b"FBTTRv02"
@@ -80,26 +81,24 @@ def model_from_bytes(data: bytes) -> BttrModel:
         n_responses = r.u32()
         n_blocks = r.u32()
         input_shape = tuple(r.u32() for _ in range(order - 1))
+        if not input_shape or 0 in input_shape:
+            raise ModelFormatError(f"order {order}, feature shape {input_shape}: a model needs features")
         flags = r.u8()
         normalization = None
         if flags & 1:
-            feat = input_shape if input_shape else (1,)
-            x_mean = r.array().reshape(feat)
-            x_std = r.array().reshape(feat)
-            y_mean = r.array()
-            y_std = r.array()
-            normalization = NormStats(x_mean=x_mean, x_std=x_std, y_mean=y_mean, y_std=y_std)
-        blocks = []
-        for _ in range(n_blocks):
-            core, score_core, factors, q, d = r.block()
-            blocks.append(Block(core=core, factors=factors, q=q, d=d, score_core=score_core))
+            stats = [r.array() for _ in range(4)]
+            if [a.size for a in stats] != [prod(input_shape)] * 2 + [n_responses] * 2:
+                raise ModelFormatError("normalization does not fit the header")
+            x_mean, x_std, y_mean, y_std = stats
+            normalization = NormStats(x_mean.reshape(input_shape), x_std.reshape(input_shape), y_mean, y_std)
+        blocks = [Block(*r.block()) for _ in range(n_blocks)]
         w = r.matrix()
         z = r.matrix()
         trace = None
         if flags & 2:
             count = r.u32()
             trace = [(r.f64(), r.f64()) for _ in range(count)]
-    except TruncatedError as e:
+    except CodecError as e:
         raise ModelFormatError(str(e)) from e
     if not r.exhausted():
         raise ModelFormatError(f"{len(data) - r.pos} trailing bytes")

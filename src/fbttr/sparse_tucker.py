@@ -94,8 +94,6 @@ class SparseTuckerResult:
     core: np.ndarray
     q: np.ndarray
     factors: list
-    snr: float
-    tau: float
     converged: bool = True
 
     @property
@@ -201,7 +199,7 @@ def hooi_init(c, max_ranks) -> SparseTuckerResult:
         if prev_norm is not None and abs(core_norm - prev_norm) < 1e-8:
             break
         prev_norm = core_norm
-    return SparseTuckerResult(core=core, q=mats[0], factors=mats[1:], snr=math.inf, tau=100.0)
+    return SparseTuckerResult(core=core, q=mats[0], factors=mats[1:])
 
 
 def lambda_from_snr(c, core, target_snr: float) -> float:
@@ -395,8 +393,7 @@ def f_mpstd_cov(
         ranks = [min(ext, rank_cap) for ext in c.shape]
         res = hooi_init(c, ranks)
     else:
-        res = replace(init)
-    res = replace(res, snr=float(snr), tau=float(tau))
+        res = init
     prev_core = None
     for _ in range(max_sweeps):
         lam = lambda_from_snr(c, res.core, snr)

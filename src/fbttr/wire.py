@@ -10,8 +10,10 @@ preceded by a 4-byte element count.
 shape and response count; the hub's reply carries the whole
 :class:`~fbttr.bttr.FitConfig` after a u8 presence flag: u32 max_blocks,
 f64 epsilon, u32 rank_cap, then the SNR and tau grids as f64 arrays.
-``BLOCK_UPDATE`` and ``GLOBAL_BLOCK`` carry a block in the layout of
-:meth:`fbttr.binio.Writer.block`, the same bytes a model file stores.
+``BLOCK_UPDATE`` is a u8 skip flag, the u32 sample count and, unless
+skipped, a block; ``GLOBAL_BLOCK`` is a block.  Both hold a
+:class:`~fbttr.bttr.Block` in the layout of :meth:`fbttr.binio.Writer.block`,
+the same bytes a model file stores.
 
 Payloads intentionally carry only aggregate quantities: cores, factor
 matrices, response loadings, scalar coefficients, residual norms and
@@ -21,14 +23,12 @@ never appear in any message.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional
 
-import numpy as np
-
-from .binio import Reader, TruncatedError, Writer
-from .bttr import FitConfig
+from .binio import CodecError, Reader, Writer
+from .bttr import Block, FitConfig
 from .sparse_tucker import HyperGrid
 
 MAGIC = b"FBTP"
@@ -46,7 +46,6 @@ __all__ = [
     "AceReport",
     "HyperAssign",
     "BlockUpdate",
-    "GlobalBlock",
     "DeflateAck",
     "Done",
     "ProtocolErrorInfo",
@@ -107,22 +106,14 @@ class HyperAssign:
 
 @dataclass
 class BlockUpdate:
-    skip: bool
+    """A client's local block and the sample count that weights it; no block is a skip."""
+
     n_samples: int
-    core: Optional[np.ndarray] = None
-    score_core: Optional[np.ndarray] = None
-    factors: list = field(default_factory=list)
-    q: Optional[np.ndarray] = None
-    d: float = 0.0
+    block: Optional[Block] = None
 
-
-@dataclass
-class GlobalBlock:
-    core: np.ndarray
-    score_core: np.ndarray
-    factors: list
-    q: np.ndarray
-    d: float
+    @property
+    def skip(self) -> bool:
+        return self.block is None
 
 
 @dataclass
@@ -199,7 +190,7 @@ def _write_payload(w: Writer, msg: Message) -> None:
         w.u8(1 if p.skip else 0)
         w.u32(p.n_samples)
         if not p.skip:
-            w.block(p)
+            w.block(p.block)
     elif k == MessageKind.GLOBAL_BLOCK:
         w.block(p)
     elif k == MessageKind.DEFLATE_ACK:
@@ -233,13 +224,10 @@ def _read_payload(r: Reader, kind: MessageKind):
         ranks = tuple(r.u32() for _ in range(r.u32()))
         return HyperAssign(snr, tau, ranks)
     if kind == MessageKind.BLOCK_UPDATE:
-        skip = bool(r.u8())
-        n_samples = r.u32()
-        if skip:
-            return BlockUpdate(skip=True, n_samples=n_samples)
-        return BlockUpdate(False, n_samples, *r.block())
+        skip, n_samples = r.u8(), r.u32()
+        return BlockUpdate(n_samples, None if skip else Block(*r.block()))
     if kind == MessageKind.GLOBAL_BLOCK:
-        return GlobalBlock(*r.block())
+        return Block(*r.block())
     if kind == MessageKind.DEFLATE_ACK:
         return DeflateAck(r.f64(), r.f64(), bool(r.u8()))
     if kind == MessageKind.DONE:
@@ -287,7 +275,7 @@ def decode_message(data: bytes) -> Message:
         rnd = r.u32()
         client_id = r.u32()
         payload = _read_payload(r, kind)
-    except TruncatedError as e:
+    except CodecError as e:
         raise WireError(str(e)) from e
     if not r.exhausted():
         raise WireError("trailing bytes in frame")

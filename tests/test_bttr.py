@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fbttr import bttr
 from fbttr.bttr import (
     Block,
     FitConfig,
@@ -15,7 +16,7 @@ from fbttr.bttr import (
     select_k_cv,
 )
 from fbttr.federated import run_federated_fit
-from fbttr.sparse_tucker import HyperGrid, finalize_block
+from fbttr.sparse_tucker import HyperGrid, ace, finalize_block
 from fbttr.tensor import frobenius_norm, kron_factors, multilinear_product, unfold, vec
 
 SMALL_GRID = HyperGrid(snr_values=(10.0, 25.0, 40.0), tau_values=(95.0, 99.0, 100.0))
@@ -79,12 +80,27 @@ def test_fit_epsilon_above_response_norm_still_extracts_one_block():
     assert model.n_blocks == 1
 
 
-def test_training_prediction_matches_block_sum_oracle():
+def fit_with_scores(monkeypatch, x, y, cfg):
+    """``fit(x, y, cfg)`` and each block's training score t, taken from its ``ace`` call."""
+    scores = []
+
+    def recording_ace(*args, **kwargs):
+        a = ace(*args, **kwargs)
+        scores.append(a.t)
+        return a
+
+    monkeypatch.setattr(bttr, "ace", recording_ace)
+    model = fit(x, y, cfg)
+    assert len(scores) == model.n_blocks
+    return model, scores
+
+
+def test_training_prediction_matches_block_sum_oracle(monkeypatch):
     rng = np.random.default_rng(2)
     x, y, _ = plant_blocks(rng, 50, (6, 4), n_blocks=2, noise=0.05)
-    model = fit(x, y, FitConfig(max_blocks=3, grid=SMALL_GRID))
+    model, scores = fit_with_scores(monkeypatch, x, y, FitConfig(max_blocks=3, grid=SMALL_GRID))
     pred = predict(model, x)
-    oracle = sum(b.d * (b.t @ b.q.T) for b in model.blocks)
+    oracle = sum(b.d * (t @ b.q.T) for b, t in zip(model.blocks, scores))
     assert np.max(np.abs(pred - oracle)) < 1e-8
 
 
@@ -111,16 +127,16 @@ def test_predict_shape_mismatch():
         predict(model, np.zeros((4, 5, 4)))
 
 
-def test_deflation_orthogonality():
+def test_deflation_orthogonality(monkeypatch):
     rng = np.random.default_rng(6)
     x, y, _ = plant_blocks(rng, 40, (6, 4), n_blocks=2, noise=0.05)
-    model = fit(x, y, FitConfig(max_blocks=2, grid=SMALL_GRID))
+    model, scores = fit_with_scores(monkeypatch, x, y, FitConfig(max_blocks=2, grid=SMALL_GRID))
     e = x.copy()
-    for b in model.blocks:
-        fmap = {1: b.t}
+    for b, t in zip(model.blocks, scores):
+        fmap = {1: t}
         fmap.update({n + 2: f for n, f in enumerate(b.factors)})
         e = e - multilinear_product(b.core, fmap)
-        leak = b.t.T @ unfold(e, 1) @ kron_factors(b.factors)
+        leak = t.T @ unfold(e, 1) @ kron_factors(b.factors)
         assert np.max(np.abs(leak)) < 1e-8 * max(frobenius_norm(e), 1e-12)
 
 
@@ -185,7 +201,7 @@ def test_w_columns_reproduce_training_scores(feature_shape):
     rng = np.random.default_rng(11)
     x = rng.normal(size=(40,) + feature_shape)
     e = x.copy()
-    blocks = []
+    blocks, scores = [], []
     for k in range(3):
         ranks = tuple(min(ext, 1 + (k + n) % 3) for n, ext in enumerate(feature_shape))
         factors = [random_orthonormal(rng, ext, r) for ext, r in zip(feature_shape, ranks)]
@@ -193,10 +209,10 @@ def test_w_columns_reproduce_training_scores(feature_shape):
         fmap = {1: t}
         fmap.update({n + 2: f for n, f in enumerate(factors)})
         e = e - multilinear_product(core, fmap)
-        blocks.append(Block(core=core, factors=factors, q=np.ones((1, 1)), d=1.0,
-                            score_core=score_core, t=t))
+        blocks.append(Block(core, score_core, factors, q=np.ones((1, 1)), d=1.0))
+        scores.append(t)
     w, _ = materialize_predictor(blocks, feature_shape)
-    t_mat = np.column_stack([b.t.ravel() for b in blocks])
+    t_mat = np.column_stack([t.ravel() for t in scores])
     assert np.max(np.abs(unfold(x, 1) @ w - t_mat)) < 1e-8
     for b in blocks:
         raw = materialize_predictor([b], feature_shape)[0][:, 0]

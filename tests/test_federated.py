@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from fbttr.bttr import FitConfig, fit, predict
+from fbttr.bttr import Block, FitConfig, fit, predict
 from fbttr.data import make_synthetic
 from fbttr.federated import (
     ClientSession,
@@ -34,11 +34,11 @@ from fbttr.wire import (
     AceReport,
     BlockUpdate,
     DeflateAck,
-    GlobalBlock,
     Hello,
     HyperAssign,
     Message,
     MessageKind,
+    ProtocolErrorInfo,
     decode_message,
     encode_message,
 )
@@ -68,18 +68,13 @@ def make_update(seed, n_samples=10, sign_flips=(), d=1.0):
     score = rng.normal(size=(1, 2, 2))
     factors = [random_orthonormal(rng, 5, 2), random_orthonormal(rng, 4, 2)]
     q = np.array([[1.0]])
-    upd = BlockUpdate(skip=False, n_samples=n_samples, core=core, score_core=score,
-                      factors=factors, q=q, d=d)
     for mode, col in sign_flips:
-        upd.factors[mode] = upd.factors[mode].copy()
-        upd.factors[mode][:, col] *= -1.0
+        factors[mode][:, col] *= -1.0
         sl = [slice(None)] * 3
         sl[mode + 1] = col
-        upd.core = upd.core.copy()
-        upd.core[tuple(sl)] *= -1.0
-        upd.score_core = upd.score_core.copy()
-        upd.score_core[tuple(sl)] *= -1.0
-    return upd
+        core[tuple(sl)] *= -1.0
+        score[tuple(sl)] *= -1.0
+    return BlockUpdate(n_samples, Block(core, score, factors, q, d))
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +129,7 @@ def test_truncate_keeps_top_contribution_components():
     core[0, 1, :] = [0.1, 0.05]
     core[0, 2, :] = [3.0, 2.0]
     res = SparseTuckerResult(core=core, q=np.array([[1.0]]),
-                             factors=[random_orthonormal(rng, 6, 3), random_orthonormal(rng, 4, 2)],
-                             snr=10.0, tau=97.0)
+                             factors=[random_orthonormal(rng, 6, 3), random_orthonormal(rng, 4, 2)])
     out = truncate_to_ranks(res, (2, 2))
     assert out.core.shape == (1, 2, 2)
     # components 0 and 2 stay, in original order
@@ -150,12 +144,9 @@ def test_truncate_keeps_top_contribution_components():
 # ---------------------------------------------------------------------------
 
 def test_aggregate_identical_updates_is_identity():
-    upd = make_update(1)
+    upd = make_update(1).block
     for weights in ([10, 10], [3, 9]):
-        agg = aggregate_block([
-            BlockUpdate(False, weights[0], upd.core, upd.score_core, upd.factors, upd.q, upd.d),
-            BlockUpdate(False, weights[1], upd.core, upd.score_core, upd.factors, upd.q, upd.d),
-        ])
+        agg = aggregate_block([BlockUpdate(weights[0], upd), BlockUpdate(weights[1], upd)])
         assert np.allclose(agg.core, upd.core, atol=1e-10)
         assert np.allclose(agg.score_core, upd.score_core, atol=1e-10)
         for a, b in zip(agg.factors, upd.factors):
@@ -174,31 +165,31 @@ def test_aggregate_cancels_sign_flips():
     ref = make_update(3)
     flipped = make_update(3, sign_flips=[(0, 1)])
     agg = aggregate_block([ref, flipped])
-    assert np.allclose(agg.core, ref.core, atol=1e-10)
-    for a, b in zip(agg.factors, ref.factors):
+    assert np.allclose(agg.core, ref.block.core, atol=1e-10)
+    for a, b in zip(agg.factors, ref.block.factors):
         assert np.allclose(a, b, atol=1e-10)
 
 
 def test_aggregate_cancels_column_permutation():
     ref = make_update(4)
-    perm = BlockUpdate(
-        skip=False, n_samples=ref.n_samples,
-        core=ref.core[:, ::-1, :].copy(),
-        score_core=ref.score_core[:, ::-1, :].copy(),
-        factors=[ref.factors[0][:, ::-1].copy(), ref.factors[1]],
-        q=ref.q, d=ref.d,
-    )
+    b = ref.block
+    perm = BlockUpdate(ref.n_samples, Block(
+        core=b.core[:, ::-1, :].copy(),
+        score_core=b.score_core[:, ::-1, :].copy(),
+        factors=[b.factors[0][:, ::-1].copy(), b.factors[1]],
+        q=b.q, d=b.d,
+    ))
     agg = aggregate_block([ref, perm])
-    assert np.allclose(agg.core, ref.core, atol=1e-10)
-    assert np.allclose(agg.factors[0], ref.factors[0], atol=1e-10)
+    assert np.allclose(agg.core, b.core, atol=1e-10)
+    assert np.allclose(agg.factors[0], b.factors[0], atol=1e-10)
 
 
 def test_aggregate_shape_mismatch_is_protocol_error():
     a = make_update(5)
     b = make_update(6)
-    b.factors = [b.factors[0][:, :1], b.factors[1]]
-    b.core = b.core[:, :1, :]
-    b.score_core = b.score_core[:, :1, :]
+    b.block.factors = [b.block.factors[0][:, :1], b.block.factors[1]]
+    b.block.core = b.block.core[:, :1, :]
+    b.block.score_core = b.block.score_core[:, :1, :]
     with pytest.raises(ProtocolError):
         aggregate_block([a, b])
 
@@ -238,11 +229,11 @@ def test_client_local_block_planted_rank1():
     cfg = FitConfig(max_blocks=1, epsilon=1e-10, grid=GRID)
     upd = client_local_block(state, HyperAssign(25.0, 100.0, (1, 1)), cfg)
     assert upd.skip is False
-    assert upd.d > 0
+    assert upd.block.d > 0
     # the score map applied to x reproduces a vector aligned with t0
-    proj = multilinear_product(x, {n + 2: f.T for n, f in enumerate(upd.factors)})
+    proj = multilinear_product(x, {n + 2: f.T for n, f in enumerate(upd.block.factors)})
     from fbttr.tensor import unfold, vec
-    t = unfold(proj, 1) @ vec(upd.score_core)
+    t = unfold(proj, 1) @ vec(upd.block.score_core)
     assert abs(np.corrcoef(t, t0)[0, 1]) > 0.99
 
 
@@ -261,7 +252,7 @@ def test_client_deflate_zero_core_leaves_residuals():
     x = rng.normal(size=(15, 4, 3))
     y = rng.normal(size=(15, 1))
     state = ClientState(0, x.copy(), y.copy(), 15)
-    gb = GlobalBlock(
+    gb = Block(
         core=np.zeros((1, 1, 1)), score_core=np.zeros((1, 1, 1)),
         factors=[np.eye(4)[:, :1], np.eye(3)[:, :1]], q=np.array([[1.0]]), d=0.0,
     )
@@ -332,10 +323,14 @@ def test_privacy_no_sample_indexed_arrays_on_wire():
     sample_counts = {23, 29, 23 * 29}
     raw_sizes = {23 * 4 * 3, 29 * 4 * 3}
     assert len(transport.frames) > 0
+    scanned = set()
     for direction, cid, frame in transport.frames:
         msg = decode_message(frame)
         arrays = []
         p = msg.payload
+        if msg.kind == MessageKind.BLOCK_UPDATE:
+            assert not hasattr(p, "t")
+            p = p.block  # None on a skip, which carries no array
         for attr in ("core", "score_core", "q"):
             v = getattr(p, attr, None)
             if isinstance(v, np.ndarray):
@@ -344,9 +339,11 @@ def test_privacy_no_sample_indexed_arrays_on_wire():
         for a in arrays:
             assert a.size not in sample_counts, f"sample-sized array in {msg.kind.name}"
             assert a.size not in raw_sizes, f"raw-data-sized array in {msg.kind.name}"
+            scanned.add(msg.kind)
         # score vectors and residuals have no field to hide in by construction
         assert not hasattr(p, "t")
         assert not hasattr(p, "e_residual")
+    assert {MessageKind.BLOCK_UPDATE, MessageKind.GLOBAL_BLOCK} <= scanned
 
 
 def test_transient_dropout_recovers_with_retry():
@@ -525,9 +522,9 @@ def test_socket_channel_reassembles_frames(case):
     rng = np.random.default_rng(74)
     if case == "large-body":
         # 3000 x 10 doubles: a body well over 200 KiB, more than one recv chunk
-        block = GlobalBlock(core=rng.normal(size=(1, 10, 2)), score_core=rng.normal(size=(1, 10, 2)),
-                            factors=[rng.normal(size=(3000, 10)), rng.normal(size=(4, 2))],
-                            q=np.ones((1, 1)), d=0.5)
+        block = Block(core=rng.normal(size=(1, 10, 2)), score_core=rng.normal(size=(1, 10, 2)),
+                      factors=[rng.normal(size=(3000, 10)), rng.normal(size=(4, 2))],
+                      q=np.ones((1, 1)), d=0.5)
         frames = [encode_message(Message(MessageKind.GLOBAL_BLOCK, 1, 0, block))]
         assert len(frames[0]) > 200 * 1024
     else:
@@ -559,12 +556,22 @@ def test_socket_channel_reassembles_frames(case):
     assert got == frames and all(type(g) is bytes for g in got)
 
 
-@pytest.mark.parametrize("says_hello", [True, False], ids=["after-hello", "instead-of-hello"])
-def test_hub_drops_client_sending_corrupt_frame(says_hello):
-    # a raw peer, connected first so it is client 0, sends a frame with
-    # garbage magic, either after a valid HELLO (the hub retries the round,
-    # then drops it) or in its place (the handshake drops it); either way
-    # the hub trains on the real client alone
+GARBAGE_MAGIC = b"XXXX" + bytes(range(60))
+# a well-framed ERROR whose detail string ends in a byte that is not UTF-8
+NON_UTF8_ERROR = encode_message(Message(
+    MessageKind.ERROR, 1, 0, ProtocolErrorInfo(code=1, detail="bad!")))[:-1] + b"\xff"
+
+
+@pytest.mark.parametrize("says_hello,corrupt", [
+    (True, GARBAGE_MAGIC), (False, GARBAGE_MAGIC), (True, NON_UTF8_ERROR),
+], ids=["after-hello", "instead-of-hello", "non-utf8-error-after-hello"])
+def test_hub_drops_client_sending_corrupt_frame(says_hello, corrupt):
+    # a raw peer, connected first so it is client 0, sends a corrupt frame,
+    # either after a valid HELLO (the hub retries the round, then drops it)
+    # or in its place (the handshake drops it); either way the hub trains
+    # on the real client alone.  The peer then stops sending, so a retry
+    # read that finds no garbage left ends at once instead of waiting out
+    # the round timeout that the real client waits too
     x, y = make_dataset(72, n=23)
     alone = run_federated_fit([(x, y)], CFG)
 
@@ -588,7 +595,8 @@ def test_hub_drops_client_sending_corrupt_frame(says_hello):
                           kwargs=dict(round_timeout=60))
     try:
         first = encode_message(hello) if says_hello else b""
-        raw.sendall(first + b"XXXX" + bytes(range(60)))
+        raw.sendall(first + corrupt)
+        raw.shutdown(socket.SHUT_WR)
         st.start()
         ct.start()
         st.join(timeout=120)

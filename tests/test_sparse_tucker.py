@@ -208,7 +208,7 @@ def test_soft_threshold_formula():
 def result_with_core(core, rng=None):
     rng = rng or np.random.default_rng(6)
     mats = [random_orthonormal(rng, e + 2, e) for e in core.shape]
-    return SparseTuckerResult(core=core, q=mats[0], factors=mats[1:], snr=10.0, tau=100.0)
+    return SparseTuckerResult(core=core, q=mats[0], factors=mats[1:])
 
 
 def test_prune_tau_100_keeps_positive_energy_components():
@@ -400,7 +400,7 @@ def test_fmpstd_dimension_error_propagates():
 def test_bic_perfect_fit_hits_floor():
     rng = np.random.default_rng(15)
     c, core, mats = make_tucker(rng, (1, 2, 2), (3, 5, 4))
-    res = SparseTuckerResult(core=core, q=mats[0], factors=mats[1:], snr=10.0, tau=100.0)
+    res = SparseTuckerResult(core=core, q=mats[0], factors=mats[1:])
     got = bic_score(c, res)
     s, df = 4, 4
     expected = math.log(1e-12 / s) + (math.log(s) / s) * df
@@ -411,17 +411,17 @@ def test_bic_penalises_degrees_of_freedom():
     rng = np.random.default_rng(16)
     c, core, mats = make_tucker(rng, (1, 2, 2), (3, 5, 4))
     noisy = c + 0.05 * rng.normal(size=c.shape)
-    dense = SparseTuckerResult(core=core, q=mats[0], factors=mats[1:], snr=1.0, tau=100.0)
+    dense = SparseTuckerResult(core=core, q=mats[0], factors=mats[1:])
     sparse_core = core.copy()
     sparse_core[0, 1, :] = 0.0
-    sparser = SparseTuckerResult(core=sparse_core, q=mats[0], factors=mats[1:], snr=1.0, tau=100.0)
+    sparser = SparseTuckerResult(core=sparse_core, q=mats[0], factors=mats[1:])
     resid_dense = frobenius_norm(noisy - dense.reconstruct())
     # same residual by construction is hard; check the penalty term in isolation
     b_dense = bic_score(noisy, dense)
     b_manual = math.log(resid_dense / core.size) + (math.log(core.size) / core.size) * 4
     assert b_dense == pytest.approx(b_manual, abs=1e-12)
     # equal residual, fewer nonzeros scores strictly lower
-    same_resid = SparseTuckerResult(core=sparse_core, q=mats[0], factors=mats[1:], snr=1.0, tau=100.0)
+    same_resid = SparseTuckerResult(core=sparse_core, q=mats[0], factors=mats[1:])
     b_a = math.log(0.5 / 4) + (math.log(4) / 4) * 2
     b_b = math.log(0.5 / 4) + (math.log(4) / 4) * 4
     assert b_a < b_b
@@ -430,7 +430,7 @@ def test_bic_penalises_degrees_of_freedom():
 def test_bic_doubling_residual_adds_log2():
     rng = np.random.default_rng(17)
     c, core, mats = make_tucker(rng, (1, 2, 2), (3, 5, 4))
-    res = SparseTuckerResult(core=core, q=mats[0], factors=mats[1:], snr=1.0, tau=100.0)
+    res = SparseTuckerResult(core=core, q=mats[0], factors=mats[1:])
     delta = rng.normal(size=c.shape)
     delta /= frobenius_norm(delta)
     b1 = bic_score(c + 0.3 * delta, res)
@@ -442,13 +442,13 @@ def test_bic_invariant_to_paired_sign_flip():
     rng = np.random.default_rng(18)
     c, core, mats = make_tucker(rng, (1, 2, 2), (3, 5, 4))
     noisy = c + 0.1 * rng.normal(size=c.shape)
-    res = SparseTuckerResult(core=core, q=mats[0], factors=mats[1:], snr=1.0, tau=100.0)
+    res = SparseTuckerResult(core=core, q=mats[0], factors=mats[1:])
     flipped_core = core.copy()
     flipped_core[:, 0, :] *= -1.0
     flipped_factor = mats[1].copy()
     flipped_factor[:, 0] *= -1.0
     res_flip = SparseTuckerResult(
-        core=flipped_core, q=mats[0], factors=[flipped_factor, mats[2]], snr=1.0, tau=100.0
+        core=flipped_core, q=mats[0], factors=[flipped_factor, mats[2]]
     )
     assert bic_score(noisy, res) == pytest.approx(bic_score(noisy, res_flip), abs=1e-12)
 

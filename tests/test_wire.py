@@ -2,8 +2,11 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fbttr.bttr import FitConfig
+from fbttr.binio import Writer
+from fbttr.bttr import Block, FitConfig
 from fbttr.sparse_tucker import HyperGrid
 from fbttr.wire import (
     HEADER_LEN,
@@ -13,7 +16,6 @@ from fbttr.wire import (
     BlockUpdate,
     DeflateAck,
     Done,
-    GlobalBlock,
     Hello,
     HyperAssign,
     Message,
@@ -42,10 +44,9 @@ def sample_messages():
         Message(MessageKind.ACE_REPORT, 2, 1, AceReport(skip=True)),
         Message(MessageKind.HYPER_ASSIGN, 1, 3, HyperAssign(snr=12.0, tau=97.0, target_ranks=(2, 1))),
         Message(MessageKind.BLOCK_UPDATE, 1, 3, BlockUpdate(
-            skip=False, n_samples=23, core=core, score_core=score, factors=factors, q=q, d=1.5)),
-        Message(MessageKind.BLOCK_UPDATE, 2, 3, BlockUpdate(skip=True, n_samples=23)),
-        Message(MessageKind.GLOBAL_BLOCK, 1, 3, GlobalBlock(
-            core=core, score_core=score, factors=factors, q=q, d=-0.75)),
+            n_samples=23, block=Block(core, score, factors, q, 1.5))),
+        Message(MessageKind.BLOCK_UPDATE, 2, 3, BlockUpdate(n_samples=23)),
+        Message(MessageKind.GLOBAL_BLOCK, 1, 3, Block(core, score, factors, q, -0.75)),
         Message(MessageKind.DEFLATE_ACK, 1, 3, DeflateAck(e_norm=2.5, f_norm=0.25)),
         Message(MessageKind.DONE, 4, 3, Done(blocks_extracted=4)),
         Message(MessageKind.ERROR, 2, 3, ProtocolErrorInfo(code=1, detail="round aborted")),
@@ -117,6 +118,18 @@ def test_decode_rejects_bad_frames():
     bad_cap[cap_at] = 0
     with pytest.raises(WireError):
         decode_message(bytes(bad_cap))
+    # an ERROR whose detail ends in a byte that is not UTF-8
+    error = encode_message(Message(MessageKind.ERROR, 2, 3, ProtocolErrorInfo(code=1, detail="bad!")))
+    with pytest.raises(WireError, match="UTF-8"):
+        decode_message(error[:-1] + b"\xff")
+    # a GLOBAL_BLOCK whose empty core has extents (0, 2**32 - 1, 2**32 - 1, 2**32 - 1)
+    w = Writer()
+    for v in (1, 3, 4, 0, *[2**32 - 1] * 3, 0):  # round, client id, order, extents, count
+        w.u32(v)
+    body = w.getvalue()
+    head = MAGIC + bytes([VERSION, MessageKind.GLOBAL_BLOCK]) + len(body).to_bytes(4, "little")
+    with pytest.raises(WireError):
+        decode_message(head + body)
 
 
 def test_hello_with_out_of_range_tau_is_a_wire_error():
@@ -132,7 +145,37 @@ def test_block_update_payload_field_inventory():
     msg = sample_messages()[4]
     decoded = decode_message(encode_message(msg))
     p = decoded.payload
-    assert set(vars(p)) == {"skip", "n_samples", "core", "score_core", "factors", "q", "d"}
-    assert np.allclose(p.core, msg.payload.core)
-    assert p.core.shape == (1, 2, 2)
-    assert [f.shape for f in p.factors] == [(5, 2), (4, 2)]
+    assert set(vars(p)) == {"n_samples", "block"}
+    assert p.skip is False
+    b = p.block
+    assert type(b) is Block
+    assert set(vars(b)) == {"core", "score_core", "factors", "q", "d"}
+    assert np.allclose(b.core, msg.payload.block.core)
+    assert b.core.shape == (1, 2, 2)
+    assert [f.shape for f in b.factors] == [(5, 2), (4, 2)]
+    skipped = decode_message(encode_message(sample_messages()[5])).payload
+    assert skipped.skip is True and skipped.block is None
+
+
+@st.composite
+def damaged(draw, data: bytes) -> bytes:
+    """``data`` cut short, or with up to three bytes xor-ed by nonzero masks."""
+    if draw(st.booleans()):
+        return data[:draw(st.integers(0, len(data) - 1))]
+    out = bytearray(data)
+    for pos in draw(st.lists(st.integers(0, len(data) - 1), min_size=1, max_size=3)):
+        out[pos] ^= draw(st.integers(1, 255))
+    return bytes(out)
+
+
+@pytest.mark.parametrize("msg", sample_messages(), ids=lambda m: f"{m.kind.name}-{m.round}")
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mutation=st.data())
+def test_damaged_frame_decodes_or_raises_wire_error(msg, mutation):
+    # a damaged frame may still decode (a flip inside a float, say), but it
+    # must raise nothing other than WireError
+    frame = mutation.draw(damaged(encode_message(msg)))
+    try:
+        decode_message(frame)
+    except WireError:
+        pass
