@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .sparse_tucker import DEFAULT_RANK_CAP, AceError, HyperGrid, ace
+from .sparse_tucker import DEFAULT_RANK_CAP, AceError, Block, HyperGrid, ace, coefficient
 from .tensor import (
     as_matrix,
     as_tensor,
@@ -104,29 +104,6 @@ class NormStats:
 
 
 @dataclass
-class Block:
-    """One extracted component, as a model stores it and the wire carries it.
-
-    ``core`` is the block projection of the predictor residual (mode-1
-    extent 1), ``score_core`` the scaled core whose vectorisation maps the
-    factor-projected residual onto the unit score vector, ``q`` the unit
-    response loading and ``d`` the regression coefficient.  Fields follow
-    the :meth:`fbttr.binio.Writer.block` layout, so ``Block(*reader.block())``
-    decodes one.  No field is sized by the training samples.
-    """
-
-    core: np.ndarray
-    score_core: np.ndarray
-    factors: list
-    q: np.ndarray
-    d: float
-
-    @property
-    def feature_ranks(self) -> tuple:
-        return tuple(f.shape[1] for f in self.factors)
-
-
-@dataclass
 class BttrModel:
     blocks: list
     w: np.ndarray
@@ -184,16 +161,10 @@ def materialize_predictor(blocks, input_shape) -> tuple:
     return w, z
 
 
-def coefficient(f, q, t) -> float:
-    """The regression coefficient d = (F q)' t of a unit loading q and score t."""
-    return float(((f @ q).T @ t).item())
-
-
 def deflate(e, f, core, factors, q, t) -> tuple:
-    """(E - core x_1 t x_2 P_2 ... x_N P_N, F - d t q', d): the rank-one
+    """(E - core x_1 t x_2 P_2 ... x_N P_N, F - d t q'): the rank-one
     deflation of the residuals by one block, with d = :func:`coefficient`."""
-    d = coefficient(f, q, t)
-    return e - expand(core, factors, t), f - d * (t @ q.T), d
+    return e - expand(core, factors, t), f - coefficient(f, q, t) * (t @ q.T)
 
 
 def fit(x, y, cfg: FitConfig, normalization: Optional[NormStats] = None) -> BttrModel:
@@ -228,9 +199,9 @@ def fit(x, y, cfg: FitConfig, normalization: Optional[NormStats] = None) -> Bttr
             if k == 0:
                 raise FitError(f"no block could be extracted: {err}") from err
             break
-        q = a.q / np.linalg.norm(a.q)
-        e, f, d = deflate(e, f, a.block_core, a.factors, q, a.t)
-        blocks.append(Block(a.block_core, a.score_core, a.factors, q, d))
+        b = a.block
+        e, f = deflate(e, f, b.core, b.factors, b.q, a.t)
+        blocks.append(b)
         trace.append((frobenius_norm(e), frobenius_norm(f)))
 
     w, z = materialize_predictor(blocks, x.shape[1:])

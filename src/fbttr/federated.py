@@ -18,11 +18,12 @@ from typing import Optional
 
 import numpy as np
 
-from .bttr import Block, BttrModel, FitConfig, FitError, coefficient, deflate, materialize_predictor
+from .bttr import Block, BttrModel, FitConfig, FitError, deflate, materialize_predictor
 from .sparse_tucker import (
     AceError,
     SparseTuckerResult,
     ace,
+    block_from,
     collapse_response_mode,
     component_contributions,
     f_mpstd,
@@ -141,25 +142,16 @@ def client_local_block(state: ClientState, assignment: HyperAssign, cfg: FitConf
     if not first_block and cfg.stops(frobenius_norm(e), frobenius_norm(f)):
         return BlockUpdate(state.sample_count)
 
-    reuse = (
+    if (
         cached is not None
         and cached.snr_star == assignment.snr
         and cached.tau_star == assignment.tau
-        and tuple(fac.shape[1] for fac in cached.factors) == tuple(assignment.target_ranks)
-    )
-    if reuse:
-        t, block_core, score_core = cached.t, cached.block_core, cached.score_core
-        factors, q = cached.factors, cached.q
-    else:
-        res = f_mpstd(e, f, snr=assignment.snr, tau=assignment.tau, rank_cap=cfg.rank_cap)
-        res = collapse_response_mode(res)
-        res = truncate_to_ranks(res, assignment.target_ranks)
-        t, block_core, score_core = finalize_block(e, res.core, res.factors)
-        factors, q = res.factors, res.q
-
-    q = q / np.linalg.norm(q)
-    block = Block(block_core, score_core, list(factors), q, coefficient(f, q, t))
-    return BlockUpdate(state.sample_count, block)
+        and cached.block.feature_ranks == tuple(assignment.target_ranks)
+    ):
+        return BlockUpdate(state.sample_count, cached.block)
+    res = f_mpstd(e, f, snr=assignment.snr, tau=assignment.tau, rank_cap=cfg.rank_cap)
+    res = truncate_to_ranks(collapse_response_mode(res), assignment.target_ranks)
+    return BlockUpdate(state.sample_count, block_from(e, f, res)[0])
 
 
 def client_deflate(state: ClientState, gb: Block) -> tuple:
@@ -177,7 +169,7 @@ def client_deflate(state: ClientState, gb: Block) -> tuple:
     except AceError:
         # residual has no component along the global block; nothing to remove
         return state, DeflateAck(e_norm=frobenius_norm(e), f_norm=frobenius_norm(f), deflated=False)
-    new_e, new_f, _ = deflate(e, f, local_core, gb.factors, gb.q, t)
+    new_e, new_f = deflate(e, f, local_core, gb.factors, gb.q, t)
     state = replace(state, e_residual=new_e, f_residual=new_f,
                     blocks_deflated=state.blocks_deflated + 1)
     return state, DeflateAck(e_norm=frobenius_norm(new_e), f_norm=frobenius_norm(new_f))
@@ -320,20 +312,23 @@ class ClientSession:
         return Message(kind=kind, round=rnd, client_id=self.state.client_id, payload=payload)
 
     def _ace_report(self, rnd: int) -> Message:
+        # a retried round reports the extraction it made: only a deflation changes the residuals
         e, f = self.state.e_residual, self.state.f_residual
         if rnd > 1 and self.cfg.stops(frobenius_norm(e), frobenius_norm(f)):
             return self._msg(MessageKind.ACE_REPORT, rnd, AceReport(skip=True))
-        try:
-            result = ace(e, f, self.cfg.grid, rank_cap=self.cfg.rank_cap)
-        except AceError:
-            return self._msg(MessageKind.ACE_REPORT, rnd, AceReport(skip=True))
-        self._ace_cache = (rnd, result)
+        cached_round, result = self._ace_cache
+        if cached_round != rnd:
+            try:
+                result = ace(e, f, self.cfg.grid, rank_cap=self.cfg.rank_cap)
+            except AceError:
+                return self._msg(MessageKind.ACE_REPORT, rnd, AceReport(skip=True))
+            self._ace_cache = (rnd, result)
         report = AceReport(
             skip=False,
             snr=result.snr_star,
             tau=result.tau_star,
             bic=result.bic,
-            ranks=tuple(fac.shape[1] for fac in result.factors),
+            ranks=result.block.feature_ranks,
         )
         return self._msg(MessageKind.ACE_REPORT, rnd, report)
 
@@ -411,10 +406,10 @@ def _roster(transport) -> list:
 def _handshake(transport, cfg: FitConfig) -> tuple:
     """Check every client's HELLO against a shared feature space, then send the config.
 
-    A client that drops out here leaves the federation; one whose shapes differ ends it.
+    Returns the shared (feature shape, response count).  A client that drops
+    out here leaves the federation; one whose shapes differ ends it.
     """
-    feature_shape = None
-    n_responses = None
+    feature_shape = n_responses = None
     for cid in transport.client_ids():
         try:
             msg = _recv_expect(transport, cid, {MessageKind.HELLO}, 0)
@@ -435,35 +430,46 @@ def _handshake(transport, cfg: FitConfig) -> tuple:
     for cid in transport.client_ids():
         _send_or_drop(transport, cid, Message(MessageKind.HELLO, 0, cid, reply))
     _roster(transport)
-    return feature_shape
+    return feature_shape, n_responses
 
 
 def _collect_reports(transport, live, rnd: int) -> dict:
     reports = {}
     for cid in live:
         msg = _recv_expect(transport, cid, {MessageKind.ACE_REPORT}, rnd)
-        if msg.kind == MessageKind.ERROR:
-            reports[cid] = AceReport(skip=True)
-        else:
-            reports[cid] = msg.payload
+        reports[cid] = AceReport(skip=True) if msg.kind == MessageKind.ERROR else msg.payload
     return reports
 
 
-def _run_round(transport, live, rnd: int):
-    """One full round; returns the aggregated block or None when every client skipped."""
+def _aggregable(msg: Message, feature_shape, n_responses: int, target_ranks) -> bool:
+    """Whether ``msg`` carries a block with the handshake's shapes at the round's target ranks."""
+    block = msg.payload.block if msg.kind == MessageKind.BLOCK_UPDATE else None
+    core_shape = (1,) + tuple(target_ranks)
+    return block is not None and (
+        block.core.shape == block.score_core.shape == core_shape
+        and block.q.shape == (n_responses, 1)
+        and [f.shape for f in block.factors] == list(zip(feature_shape, target_ranks))
+    )
+
+
+def _run_round(transport, live, rnd: int, feature_shape, n_responses: int):
+    """One full round; returns the aggregated block or None when no client sent one.
+
+    A client that replies with an ERROR, a skip or a block of other shapes
+    is excluded from this round's aggregation.
+    """
     reports = _collect_reports(transport, live, rnd)
     active = {cid: r for cid, r in reports.items() if not r.skip}
     if not active:
         return None
-    _, assignments = harmonize_ranks(active)
+    target, assignments = harmonize_ranks(active)
     for cid in active:
         transport.send(cid, Message(MessageKind.HYPER_ASSIGN, rnd, cid, assignments[cid]))
     updates = []
     for cid in sorted(active):
         msg = _recv_expect(transport, cid, {MessageKind.BLOCK_UPDATE}, rnd)
-        if msg.kind == MessageKind.ERROR or msg.payload.skip:
-            continue  # excluded from aggregation this round
-        updates.append(msg.payload)
+        if _aggregable(msg, feature_shape, n_responses, target):
+            updates.append(msg.payload)
     if not updates:
         return None
     return aggregate_block(updates)
@@ -471,7 +477,7 @@ def _run_round(transport, live, rnd: int):
 
 def federated_fit_over(transport, cfg: FitConfig) -> BttrModel:
     """Drive the hub protocol over an already-connected transport."""
-    feature_shape = _handshake(transport, cfg)
+    feature_shape, n_responses = _handshake(transport, cfg)
     blocks = []
     rnd = 0
     while rnd < cfg.max_blocks:
@@ -479,7 +485,7 @@ def federated_fit_over(transport, cfg: FitConfig) -> BttrModel:
         retried = False
         while True:
             try:
-                gb = _run_round(transport, _roster(transport), rnd)
+                gb = _run_round(transport, _roster(transport), rnd, feature_shape, n_responses)
                 break
             except ClientDropout as drop:
                 if retried:

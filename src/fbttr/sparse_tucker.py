@@ -38,6 +38,7 @@ __all__ = [
     "HyperGrid",
     "GridSearch",
     "SparseTuckerResult",
+    "Block",
     "AceResult",
     "hooi_init",
     "lambda_from_snr",
@@ -49,6 +50,8 @@ __all__ = [
     "component_contributions",
     "collapse_response_mode",
     "finalize_block",
+    "coefficient",
+    "block_from",
     "ace",
 ]
 
@@ -108,27 +111,38 @@ class SparseTuckerResult:
 
 
 @dataclass
-class AceResult:
-    """One extracted block: maximally correlated latent component of (X, Y).
+class Block:
+    """One extracted component, as a model stores it and the wire carries it.
 
-    ``t`` is the unit-norm sample score vector, ``block_core`` the
-    projection of X onto (t, factors), and ``score_core`` the core of the
-    linear map that reproduces t from the factor-projected X, scaled so no
-    separate normalisation constant is needed.
+    ``core`` is the block projection of the predictor residual (mode-1
+    extent 1), ``score_core`` the scaled core whose vectorisation maps the
+    factor-projected residual onto the unit score vector, ``q`` the unit
+    response loading and ``d`` the regression coefficient.  Fields follow
+    the :meth:`fbttr.binio.Writer.block` layout, so ``Block(*reader.block())``
+    decodes one.  No field is sized by the training samples.
     """
 
-    block_core: np.ndarray
-    q: np.ndarray
-    t: np.ndarray
+    core: np.ndarray
+    score_core: np.ndarray
     factors: list
+    q: np.ndarray
+    d: float
+
+    @property
+    def feature_ranks(self) -> tuple:
+        return tuple(f.shape[1] for f in self.factors)
+
+
+@dataclass
+class AceResult:
+    """What :func:`ace` extracted and chose: the block, its unit-norm score
+    ``t`` on the samples it came from, and the selected (SNR, tau) and BIC."""
+
+    block: Block
+    t: np.ndarray
     snr_star: float
     tau_star: float
     bic: float
-    score_core: np.ndarray = None
-
-    @property
-    def ranks(self) -> tuple:
-        return tuple(self.block_core.shape)
 
 
 def _fix_signs(u: np.ndarray) -> np.ndarray:
@@ -457,6 +471,20 @@ def finalize_block(x, core, factors):
     return t, block_core, core / rho
 
 
+def coefficient(f, q, t) -> float:
+    """The regression coefficient d = (F q)' t of a unit loading q and score t."""
+    return float(((f @ q).T @ t).item())
+
+
+def block_from(x, y, res: SparseTuckerResult) -> tuple:
+    """(block, unit score t) of a response-collapsed decomposition ``res`` of
+    (x, y); the one place a decomposition becomes a :class:`Block`, its ``q``
+    scaled to unit norm and its ``d`` the :func:`coefficient` of y on it."""
+    t, core, score_core = finalize_block(x, res.core, res.factors)
+    q = res.q / np.linalg.norm(res.q)
+    return Block(core, score_core, list(res.factors), q, coefficient(y, q, t)), t
+
+
 def ace(x, y, grid: HyperGrid = None, rank_cap: int = DEFAULT_RANK_CAP) -> AceResult:
     """Extract one maximally correlated block with automatic (SNR, tau) selection.
 
@@ -466,8 +494,8 @@ def ace(x, y, grid: HyperGrid = None, rank_cap: int = DEFAULT_RANK_CAP) -> AceRe
     The cells share one :class:`GridSearch`, so a factor refresh another
     cell of this or the previous SNR row already made is reused, not
     recomputed; the result is bit-identical to running every cell alone.
-    The winning decomposition yields the unit-norm score vector t and the
-    block core, the projection of x onto (t, factors).
+    The winning decomposition becomes the result's block through
+    :func:`block_from`.
     """
     x = as_tensor(x, min_order=2)
     y = as_matrix(y)
@@ -499,15 +527,5 @@ def ace(x, y, grid: HyperGrid = None, rank_cap: int = DEFAULT_RANK_CAP) -> AceRe
         raise AceError("every (SNR, tau) candidate failed to decompose")
 
     bic, snr_star, tau_star, res = best
-    res = collapse_response_mode(res)
-    t, block_core, score_core = finalize_block(x, res.core, res.factors)
-    return AceResult(
-        block_core=block_core,
-        q=res.q,
-        t=t,
-        factors=list(res.factors),
-        snr_star=snr_star,
-        tau_star=tau_star,
-        bic=bic,
-        score_core=score_core,
-    )
+    block, t = block_from(x, y, collapse_response_mode(res))
+    return AceResult(block, t, snr_star, tau_star, bic)

@@ -150,7 +150,7 @@ class SocketServerTransport:
     """Hub side of the TCP transport: one accepted channel per client.
 
     A corrupt frame from a client counts as that client's dropout, like a
-    closed connection or a timeout.
+    closed connection or a timeout, and also drops it for good at once.
     """
 
     def __init__(self, channels: dict, round_timeout: float = DEFAULT_ROUND_TIMEOUT):
@@ -177,7 +177,10 @@ class SocketServerTransport:
         try:
             frame = self.channels[client_id].recv_frame(timeout or self.round_timeout)
             msg = decode_message(frame)
-        except (OSError, TimeoutError, ConnectionError, WireError) as e:
+        except WireError as e:
+            self.drop(client_id)  # so no retry read waits on a stream gone bad
+            raise ClientDropout(client_id, str(e)) from e
+        except (OSError, TimeoutError, ConnectionError) as e:
             raise ClientDropout(client_id, str(e)) from e
         self.frames.record("client->server", client_id, frame)
         return msg

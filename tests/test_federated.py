@@ -5,7 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from fbttr.bttr import Block, FitConfig, fit, predict
+from fbttr import federated
+from fbttr.bttr import Block, FitConfig, FitError, fit, predict
 from fbttr.data import make_synthetic
 from fbttr.federated import (
     ClientSession,
@@ -21,7 +22,7 @@ from fbttr.federated import (
     truncate_to_ranks,
 )
 from fbttr.model_io import model_to_bytes
-from fbttr.sparse_tucker import HyperGrid, SparseTuckerResult
+from fbttr.sparse_tucker import HyperGrid, SparseTuckerResult, ace
 from fbttr.tensor import frobenius_norm, multilinear_product, outer
 from fbttr.transport import (
     ClientDropout,
@@ -346,7 +347,7 @@ def test_privacy_no_sample_indexed_arrays_on_wire():
     assert {MessageKind.BLOCK_UPDATE, MessageKind.GLOBAL_BLOCK} <= scanned
 
 
-def test_transient_dropout_recovers_with_retry():
+def test_transient_dropout_recovers_with_retry(monkeypatch):
     # handshake succeeds; the first round-1 report read from client 1 fails once
     class FlakyTransport(LoopbackTransport):
         def __init__(self, sessions):
@@ -361,12 +362,23 @@ def test_transient_dropout_recovers_with_retry():
                 raise ClientDropout(client_id, "injected transient failure")
             return super().recv(client_id, timeout)
 
+    def federate(transport_type):
+        extractions.clear()
+        sessions = {cid: ClientSession(cid, x, y) for cid, (x, y) in enumerate(clients)}
+        transport = transport_type(sessions)
+        return federated_fit_over(transport, CFG), transport, len(extractions)
+
+    extractions = []
+    monkeypatch.setattr(federated, "ace", lambda *a, **kw: extractions.append(1) or ace(*a, **kw))
     clients = [make_dataset(50), make_dataset(51)]
-    sessions = {cid: ClientSession(cid, x, y) for cid, (x, y) in enumerate(clients)}
-    transport = FlakyTransport(sessions)
-    model = federated_fit_over(transport, CFG)
+    steady, _, steady_extractions = federate(LoopbackTransport)
+    model, transport, n_extractions = federate(FlakyTransport)
+    assert transport.failed_once
     assert model.n_blocks >= 1
     assert transport.client_ids() == [0, 1]
+    # the retried round reports the extractions its clients already made
+    assert n_extractions == steady_extractions
+    assert model_to_bytes(model) == model_to_bytes(steady)
 
 
 def test_permanent_dropout_excludes_client():
@@ -437,6 +449,37 @@ def test_client_error_excluded_for_the_round():
     assert transport.client_ids() == [0, 1]
 
 
+class DoubledRowsSession(ClientSession):
+    """A client whose every block update has twice the feature rows of its data."""
+
+    def handle(self, msg):
+        out = super().handle(msg)
+        for m in out:
+            if m.kind == MessageKind.BLOCK_UPDATE and not m.payload.skip:
+                b = m.payload.block
+                b.factors = [np.vstack([f, f]) for f in b.factors]
+        return out
+
+
+def test_hub_excludes_block_outside_the_handshake_shapes():
+    clients = [make_dataset(63), make_dataset(64)]
+    sessions = {0: ClientSession(0, *clients[0]), 1: DoubledRowsSession(1, *clients[1])}
+    transport = LoopbackTransport(sessions)
+    model = federated_fit_over(transport, CFG)
+    assert model.n_blocks >= 1
+    assert transport.client_ids() == [0, 1]
+    broadcast = [decode_message(f).payload for d, _, f in transport.frames
+                 if d == "server->client" and decode_message(f).kind == MessageKind.GLOBAL_BLOCK]
+    assert broadcast
+    for b in broadcast:
+        assert [f.shape[0] for f in b.factors] == [4, 3]
+
+
+def test_lone_client_with_misshaped_block_raises_fit_error():
+    with pytest.raises(FitError):
+        federated_fit_over(LoopbackTransport({0: DoubledRowsSession(0, *make_dataset(65))}), CFG)
+
+
 def test_epsilon_above_norms_still_yields_one_block_then_stops():
     # mirrors the centralized minimum-one-block rule, then every later
     # round is skipped and training ends with a single global block
@@ -462,8 +505,6 @@ def test_epsilon_binding_mid_fit_stops_fit_and_federation_alike():
 
 
 def test_degenerate_data_raises_fit_error():
-    from fbttr.bttr import FitError
-
     with pytest.raises(FitError):
         run_federated_fit([(np.zeros((6, 3, 2)), np.zeros((6, 1)))],
                           FitConfig(max_blocks=2, epsilon=1e-8, grid=GRID))
@@ -562,16 +603,20 @@ NON_UTF8_ERROR = encode_message(Message(
     MessageKind.ERROR, 1, 0, ProtocolErrorInfo(code=1, detail="bad!")))[:-1] + b"\xff"
 
 
-@pytest.mark.parametrize("says_hello,corrupt", [
-    (True, GARBAGE_MAGIC), (False, GARBAGE_MAGIC), (True, NON_UTF8_ERROR),
-], ids=["after-hello", "instead-of-hello", "non-utf8-error-after-hello"])
-def test_hub_drops_client_sending_corrupt_frame(says_hello, corrupt):
+TIMEOUT = 20.0  # seconds; the hub and the real client wait equally long
+
+
+@pytest.mark.parametrize("says_hello,corrupt,shuts_down", [
+    (True, GARBAGE_MAGIC, True), (False, GARBAGE_MAGIC, True), (True, NON_UTF8_ERROR, True),
+    (True, NON_UTF8_ERROR, False),
+], ids=["after-hello", "instead-of-hello", "non-utf8-error-after-hello", "non-utf8-error-then-silent"])
+def test_hub_drops_client_sending_corrupt_frame(says_hello, corrupt, shuts_down):
     # a raw peer, connected first so it is client 0, sends a corrupt frame,
-    # either after a valid HELLO (the hub retries the round, then drops it)
-    # or in its place (the handshake drops it); either way the hub trains
-    # on the real client alone.  The peer then stops sending, so a retry
-    # read that finds no garbage left ends at once instead of waiting out
-    # the round timeout that the real client waits too
+    # either after a valid HELLO (the round is retried without it) or in its
+    # place (the handshake drops it); either way the hub trains on the real
+    # client alone.  The hub drops the peer as soon as its frame fails to
+    # decode, so no retry read waits out the round timeout on it, even when
+    # the peer stays connected and silent
     x, y = make_dataset(72, n=23)
     alone = run_federated_fit([(x, y)], CFG)
 
@@ -583,7 +628,7 @@ def test_hub_drops_client_sending_corrupt_frame(says_hello, corrupt):
     result = {}
 
     def server():
-        transport = serve_clients(listener, 2, round_timeout=60)
+        transport = serve_clients(listener, 2, round_timeout=TIMEOUT)
         result["model"] = federated_fit_over(transport, CFG)
         result["live"] = transport.client_ids()
         transport.close()
@@ -592,18 +637,22 @@ def test_hub_drops_client_sending_corrupt_frame(says_hello, corrupt):
     raw = socket.create_connection(("127.0.0.1", port))
     st = threading.Thread(target=server)
     ct = threading.Thread(target=run_socket_client, args=("127.0.0.1", port, x, y),
-                          kwargs=dict(round_timeout=60))
+                          kwargs=dict(round_timeout=TIMEOUT))
     try:
         first = encode_message(hello) if says_hello else b""
         raw.sendall(first + corrupt)
-        raw.shutdown(socket.SHUT_WR)
+        if shuts_down:
+            raw.shutdown(socket.SHUT_WR)
+        start = time.monotonic()
         st.start()
         ct.start()
-        st.join(timeout=120)
-        ct.join(timeout=120)
+        st.join(timeout=3 * TIMEOUT)
+        ct.join(timeout=3 * TIMEOUT)
+        elapsed = time.monotonic() - start
     finally:
         raw.close()
         listener.close()
     assert not st.is_alive() and not ct.is_alive()
     assert result["live"] == [1]
+    assert elapsed < TIMEOUT / 2
     assert model_to_bytes(result["model"]) == model_to_bytes(alone)

@@ -469,7 +469,7 @@ def test_ace_rank1_ground_truth():
     grid = HyperGrid(snr_values=(10.0, 30.0, 50.0), tau_values=(95.0, 99.0, 100.0))
     res = ace(x, t0.reshape(-1, 1), grid)
     assert abs(np.corrcoef(res.t.ravel(), t0)[0, 1]) > 0.99
-    assert res.ranks[1:] == (1, 1)
+    assert res.block.feature_ranks == (1, 1)
     assert np.linalg.norm(res.t) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -484,10 +484,10 @@ def test_ace_single_cell_equals_direct_fmpstd():
     t_raw = unfold(proj, 1) @ vec(ref.core)
     t = t_raw / np.linalg.norm(t_raw)
     assert np.allclose(got.t.ravel(), t, atol=1e-12)
-    assert np.allclose(got.q, ref.q, atol=1e-12)
+    assert np.allclose(got.block.q, ref.q, atol=1e-12)
     fmap = {1: t.reshape(1, -1)}
     fmap.update({n + 2: f.T for n, f in enumerate(ref.factors)})
-    assert np.allclose(got.block_core, multilinear_product(x, fmap), atol=1e-12)
+    assert np.allclose(got.block.core, multilinear_product(x, fmap), atol=1e-12)
 
 
 def test_ace_tie_break_prefers_smaller_snr_and_tau():
@@ -511,7 +511,7 @@ def test_ace_deterministic():
     b = ace(x, y, grid)
     assert (a.snr_star, a.tau_star) == (b.snr_star, b.tau_star)
     assert np.array_equal(a.t, b.t)
-    assert np.array_equal(a.block_core, b.block_core)
+    assert np.array_equal(a.block.core, b.block.core)
 
 
 def test_ace_score_core_reproduces_t():
@@ -519,8 +519,8 @@ def test_ace_score_core_reproduces_t():
     x = rng.normal(size=(30, 6, 5))
     y = (x[:, 3, 1] + 0.3 * rng.normal(size=30)).reshape(-1, 1)
     res = ace(x, y, HyperGrid(snr_values=(10.0,), tau_values=(98.0,)))
-    proj = multilinear_product(x, {n + 2: f.T for n, f in enumerate(res.factors)})
-    t_re = unfold(proj, 1) @ vec(res.score_core)
+    proj = multilinear_product(x, {n + 2: f.T for n, f in enumerate(res.block.factors)})
+    t_re = unfold(proj, 1) @ vec(res.block.score_core)
     assert np.allclose(t_re, res.t.ravel(), atol=1e-12)
 
 
@@ -559,8 +559,10 @@ def ace_reference(x, y, grid, rank_cap=10):
             best = snr_best
     bic, snr_star, tau_star, res = best
     res = collapse_response_mode(res)
-    t, block_core, score_core = finalize_block(x, res.core, res.factors)
-    return cells, dict(block_core=block_core, score_core=score_core, q=res.q, t=t,
+    t, core, score_core = finalize_block(x, res.core, res.factors)
+    q = res.q / np.linalg.norm(res.q)
+    d = float(((y @ q).T @ t).item())
+    return cells, dict(core=core, score_core=score_core, q=q, d=d, t=t,
                        factors=res.factors, snr_star=snr_star, tau_star=tau_star, bic=bic)
 
 
@@ -581,10 +583,13 @@ def test_ace_equals_cache_free_reference_loop(kind, monkeypatch):
         assert a.converged == b.converged
         for u, v in zip([a.core, a.q] + a.factors, [b.core, b.q] + b.factors):
             assert u.shape == v.shape and u.tobytes() == v.tobytes()
-    for name in ("block_core", "score_core", "q", "t"):
-        assert getattr(got, name).tobytes() == ref[name].tobytes(), name
-    assert len(got.factors) == len(ref["factors"])
-    for u, v in zip(got.factors, ref["factors"]):
+    block = got.block
+    for name in ("core", "score_core", "q"):
+        assert getattr(block, name).tobytes() == ref[name].tobytes(), name
+    assert got.t.tobytes() == ref["t"].tobytes()
+    assert np.float64(block.d).tobytes() == np.float64(ref["d"]).tobytes()
+    assert len(block.factors) == len(ref["factors"])
+    for u, v in zip(block.factors, ref["factors"]):
         assert u.shape == v.shape and u.tobytes() == v.tobytes()
     assert (got.snr_star, got.tau_star, got.bic) == (ref["snr_star"], ref["tau_star"], ref["bic"])
 
