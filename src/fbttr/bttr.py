@@ -161,10 +161,11 @@ def materialize_predictor(blocks, input_shape) -> tuple:
     return w, z
 
 
-def deflate(e, f, core, factors, q, t) -> tuple:
+def deflate(e, f, core, factors, q, d, t) -> tuple:
     """(E - core x_1 t x_2 P_2 ... x_N P_N, F - d t q'): the rank-one
-    deflation of the residuals by one block, with d = :func:`coefficient`."""
-    return e - expand(core, factors, t), f - coefficient(f, q, t) * (t @ q.T)
+    deflation of the residuals by one block, with d the :func:`coefficient`
+    of F on (q, t)."""
+    return e - expand(core, factors, t), f - d * (t @ q.T)
 
 
 def fit(x, y, cfg: FitConfig, normalization: Optional[NormStats] = None) -> BttrModel:
@@ -200,7 +201,7 @@ def fit(x, y, cfg: FitConfig, normalization: Optional[NormStats] = None) -> Bttr
                 raise FitError(f"no block could be extracted: {err}") from err
             break
         b = a.block
-        e, f = deflate(e, f, b.core, b.factors, b.q, a.t)
+        e, f = deflate(e, f, b.core, b.factors, b.q, b.d, a.t)
         blocks.append(b)
         trace.append((frobenius_norm(e), frobenius_norm(f)))
 

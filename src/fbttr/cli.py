@@ -162,8 +162,7 @@ def cmd_experiment(args) -> int:
 
 def cmd_synth(args) -> int:
     shape = tuple(int(v) for v in args.shape.replace("x", ",").split(",") if v.strip())
-    snr = None if args.snr_db in (None, "", "inf") else float(args.snr_db)
-    ds, _ = make_synthetic(shape, n_blocks=args.blocks, noise_snr_db=snr,
+    ds, _ = make_synthetic(shape, n_blocks=args.blocks, noise_snr_db=args.snr_db,
                            seed=args.seed, n_responses=args.responses, task=args.task)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -250,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output .npz path")
     p.add_argument("--shape", required=True, help="samples-first shape, e.g. 200x8x6")
     p.add_argument("--blocks", type=int, default=2)
-    p.add_argument("--snr-db", default="30", help="noise SNR in dB, or 'inf' for noiseless")
+    p.add_argument("--snr-db", type=float, default=30.0, help="noise SNR in dB, or 'inf' for noiseless")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--responses", type=int, default=1)
     p.add_argument("--task", default="regression", choices=["regression", "binary", "survival"])

@@ -254,10 +254,13 @@ def make_synthetic(shape, n_blocks: int, noise_snr_db=None, seed: int = 0,
 
     ``shape`` is samples-first.  Components are mutually orthogonal per
     mode (disjoint orthonormal column blocks), so each planted block is
-    recoverable in isolation.  ``noise_snr_db=None`` (or infinity) gives
-    the exact noiseless construction; a fixed seed gives bit-identical
-    output.
+    recoverable in isolation.  ``noise_snr_db=None`` or ``+inf`` gives the
+    exact noiseless construction, and NaN or ``-inf`` is a
+    :class:`DataError`; a fixed seed gives bit-identical output.
     """
+    noiseless = noise_snr_db is None or noise_snr_db == math.inf
+    if not noiseless and not math.isfinite(noise_snr_db):
+        raise DataError(f"noise SNR must be a number of dB or +inf, got {noise_snr_db}")
     shape = tuple(int(s) for s in shape)
     if len(shape) < 2:
         raise DataError("shape must include a sample mode and at least one feature mode")
@@ -297,9 +300,6 @@ def make_synthetic(shape, n_blocks: int, noise_snr_db=None, seed: int = 0,
         d_all.append(d)
         q_cols.append(q.ravel())
 
-    noiseless = noise_snr_db is None or (
-        isinstance(noise_snr_db, float) and math.isinf(noise_snr_db)
-    )
     x = x_clean if noiseless else _add_noise_at_snr(rng, x_clean, float(noise_snr_db))
     y_scores = y_clean if noiseless else _add_noise_at_snr(rng, y_clean, float(noise_snr_db))
 

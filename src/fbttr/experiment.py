@@ -304,7 +304,7 @@ def _load_dataset(cfg: ExperimentConfig, seed: int) -> Dataset:
         ds, _ = make_synthetic(
             cfg.synth_shape,
             n_blocks=cfg.synth_blocks,
-            noise_snr_db=cfg.synth_snr_db if math.isfinite(cfg.synth_snr_db) else None,
+            noise_snr_db=cfg.synth_snr_db,
             seed=seed,
             n_responses=cfg.synth_responses,
             task=cfg.task,

@@ -24,6 +24,7 @@ from .sparse_tucker import (
     SparseTuckerResult,
     ace,
     block_from,
+    coefficient,
     collapse_response_mode,
     component_contributions,
     f_mpstd,
@@ -169,7 +170,7 @@ def client_deflate(state: ClientState, gb: Block) -> tuple:
     except AceError:
         # residual has no component along the global block; nothing to remove
         return state, DeflateAck(e_norm=frobenius_norm(e), f_norm=frobenius_norm(f), deflated=False)
-    new_e, new_f = deflate(e, f, local_core, gb.factors, gb.q, t)
+    new_e, new_f = deflate(e, f, local_core, gb.factors, gb.q, coefficient(f, gb.q, t), t)
     state = replace(state, e_residual=new_e, f_residual=new_f,
                     blocks_deflated=state.blocks_deflated + 1)
     return state, DeflateAck(e_norm=frobenius_norm(new_e), f_norm=frobenius_norm(new_f))

@@ -31,6 +31,7 @@ from .tensor import (
 
 DEFAULT_RANK_CAP = 10
 SWEEP_TOL = 1e-6  # relative core change at which f_mpstd_cov stops
+MAX_SWEEPS = 200  # sweeps after which f_mpstd_cov returns unconverged
 
 __all__ = [
     "DecompositionError",
@@ -338,11 +339,12 @@ class GridSearch:
     A refresh depends only on ``c`` and the incoming ``q`` and factors, so a
     cell whose trajectory reaches factors an earlier cell refreshed reuses
     that result, keyed on their exact shapes and bytes: the result is
-    bit-identical to recomputing it.  A hit moves the entry into the
-    current row; :meth:`start_row` drops what the row before last left.
-    An entry keeps the refreshed core, q and factors in one flat array, as
-    a noise block can hold hundreds of entries and per-array overhead
-    would rival the data.
+    bit-identical to recomputing it.  An entry is the
+    :class:`SparseTuckerResult` the refresh returned, and a hit hands back
+    that same object, whose ranks are its own even when the refresh lowered
+    one; callers read it and never write into it.  A hit moves the entry
+    into the current row; :meth:`start_row` drops what the row before last
+    left.
     """
 
     def __init__(self, c: np.ndarray, rank_cap: int):
@@ -355,61 +357,37 @@ class GridSearch:
 
     def refresh(self, result: SparseTuckerResult) -> SparseTuckerResult:
         key = _refresh_key(result)
-        entry = self.row.get(key)
-        if entry is None:
-            entry = self.last_row.pop(key, None)
-        if entry is None:
-            # a refresh can lower a rank: a mode keeps no more components
-            # than the other modes' ranks multiply to
+        fresh = self.row.get(key)
+        if fresh is None:
+            fresh = self.last_row.pop(key, None)
+        if fresh is None:
             fresh = _hooi_refresh(self.c, result)
-            mats = [fresh.core, fresh.q] + fresh.factors
-            entry = (fresh.ranks, np.concatenate([m.ravel() for m in mats]))
-        self.row[key] = entry
-        ranks, flat = entry
-        mats, start = [], 0
-        for shape in [ranks] + [(ext, r) for ext, r in zip(self.c.shape, ranks)]:
-            end = start + math.prod(shape)
-            # a fresh C-ordered copy, laid out like the arrays a refresh returns
-            mats.append(flat[start:end].reshape(shape).copy())
-            start = end
-        return replace(result, core=mats[0], q=mats[1], factors=mats[2:])
+        self.row[key] = fresh
+        return fresh
 
 
-def f_mpstd_cov(
-    c,
-    snr: float,
-    tau: float,
-    rank_cap: int = DEFAULT_RANK_CAP,
-    max_sweeps: int = 200,
-    init: SparseTuckerResult = None,
-    search: GridSearch = None,
-) -> SparseTuckerResult:
+def f_mpstd_cov(c, snr: float, tau: float, rank_cap: int = DEFAULT_RANK_CAP,
+                search: GridSearch = None) -> SparseTuckerResult:
     """Sparse Tucker decomposition of a covariance tensor ``c``.
 
-    Starts from ``init`` or else HOOI at full ranks capped at ``rank_cap``
-    per mode, then alternates SNR-derived soft thresholding of the core with
-    tau pruning and an orthogonal factor refresh until the sparse core
-    stabilises (relative change below :data:`SWEEP_TOL`) or ``max_sweeps``
-    elapse.  A non-converged run returns the last iterate with
-    ``converged=False``.  With ``search`` (a :class:`GridSearch` of this
-    ``c``), the cell starts from its HOOI start and takes every refresh from
-    its cache; the result is bit-identical to running without it.  Giving
-    both ``init`` and ``search`` is a ``ValueError``.
+    Starts from HOOI at full ranks capped at ``rank_cap`` per mode, then
+    alternates SNR-derived soft thresholding of the core with tau pruning
+    and an orthogonal factor refresh until the sparse core stabilises
+    (relative change below :data:`SWEEP_TOL`) or :data:`MAX_SWEEPS` elapse.
+    A non-converged run returns the last iterate with ``converged=False``.
+    With ``search`` (a :class:`GridSearch` of this ``c``), the cell starts
+    from the search's HOOI start, whose ``rank_cap`` then applies, and takes
+    every refresh from its cache; the result is bit-identical to running
+    without it.  The cell never writes into the start or a refresh it was
+    handed.
     """
     c = as_tensor(c)
-    if max_sweeps < 1:
-        raise ValueError("max_sweeps must be >= 1")
-    if search is not None:
-        if init is not None:
-            raise ValueError("give init or search, not both: a search starts from its own init")
-        init = search.init
-    if init is None:
-        ranks = [min(ext, rank_cap) for ext in c.shape]
-        res = hooi_init(c, ranks)
+    if search is None:
+        res = hooi_init(c, [min(ext, rank_cap) for ext in c.shape])
     else:
-        res = init
+        res = search.init
     prev_core = None
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         lam = lambda_from_snr(c, res.core, snr)
         sparse = replace(res, core=soft_threshold(res.core, lam))
         pruned = prune(sparse, tau)
@@ -512,7 +490,7 @@ def ace(x, y, grid: HyperGrid = None, rank_cap: int = DEFAULT_RANK_CAP) -> AceRe
         snr_best = None
         for tau in grid.tau_values:
             try:
-                res = f_mpstd_cov(c, snr, tau, rank_cap=rank_cap, search=search)
+                res = f_mpstd_cov(c, snr, tau, search=search)
             except (DecompositionError, ValueError):
                 continue
             b = bic_score(c, res)

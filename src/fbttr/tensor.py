@@ -81,8 +81,7 @@ def unfold(t, mode: int) -> np.ndarray:
     """
     t = as_tensor(t)
     _check_mode(t, mode)
-    moved = np.moveaxis(t, mode - 1, 0)
-    return moved.reshape(t.shape[mode - 1], -1, order="F")
+    return _unfold(t, mode)
 
 
 def fold(m, mode: int, shape) -> np.ndarray:
@@ -139,11 +138,7 @@ def _mode_product(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
 
 
 def _unfold(t: np.ndarray, mode: int) -> np.ndarray:
-    """Unchecked :func:`unfold` of an array the caller has validated.
-
-    :func:`unfold` keeps its own body: it is on the predict path, which
-    changes only with a measurement of its own (ROADMAP item 5).
-    """
+    """Unchecked :func:`unfold` of an array the caller has validated."""
     k = mode - 1
     return t.transpose([k] + [i for i in range(t.ndim) if i != k]).reshape(t.shape[k], -1, order="F")
 

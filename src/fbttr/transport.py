@@ -83,7 +83,7 @@ class LoopbackTransport:
         for out in session.handle(decode_message(frame)):
             self._push_to_server(client_id, out)
 
-    def recv(self, client_id: int, timeout: float = None) -> Message:
+    def recv(self, client_id: int) -> Message:
         if client_id in self._dropped:
             raise ClientDropout(client_id, "already excluded")
         queue = self._inbox[client_id]
@@ -171,11 +171,11 @@ class SocketServerTransport:
             raise ClientDropout(client_id, str(e)) from e
         self.frames.record("server->client", client_id, frame)
 
-    def recv(self, client_id: int, timeout: float = None) -> Message:
+    def recv(self, client_id: int) -> Message:
         if client_id in self._dropped:
             raise ClientDropout(client_id, "already excluded")
         try:
-            frame = self.channels[client_id].recv_frame(timeout or self.round_timeout)
+            frame = self.channels[client_id].recv_frame(self.round_timeout)
             msg = decode_message(frame)
         except WireError as e:
             self.drop(client_id)  # so no retry read waits on a stream gone bad

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fbttr import bttr
+from fbttr import bttr, sparse_tucker
 from fbttr.bttr import (
     Block,
     FitConfig,
@@ -148,6 +148,23 @@ def test_response_residual_never_increases():
     f_norms = [f for _, f in trace]
     assert all(b <= a + 1e-12 for a, b in zip(f_norms, f_norms[1:]))
     assert all(e >= 0 and f >= 0 for e, f in trace)
+
+
+def test_fit_computes_each_coefficient_once(monkeypatch):
+    # the block's d is the coefficient its deflation uses: one (F q)'t per block
+    calls, original = [], sparse_tucker.coefficient
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(sparse_tucker, "coefficient", counting)
+    monkeypatch.setattr(bttr, "coefficient", counting)
+    rng = np.random.default_rng(10)
+    x, y, _ = plant_blocks(rng, 40, (6, 4), n_blocks=2, noise=0.05)
+    model = fit(x, y, FitConfig(max_blocks=2, grid=SMALL_GRID))
+    assert model.n_blocks == 2
+    assert len(calls) == 2
 
 
 def test_residual_trace_length_and_recovery():

@@ -36,6 +36,15 @@ def test_synth_higher_order_npz_only(tmp_path):
     assert not out.with_suffix(".csv").exists()
 
 
+def test_nan_noise_snr_is_a_data_error(tmp_path):
+    # make_synthetic rejects NaN itself: experiment once turned it into noiseless data
+    assert run_cli("synth", "--out", str(tmp_path / "d.npz"), "--shape", "20x4x3",
+                   "--snr-db", "nan") == EXIT_DATA
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"synth_snr_db=nan\nseeds=1\nout={tmp_path / 'out'}\n", encoding="utf-8")
+    assert run_cli("experiment", "--config", str(cfg)) == EXIT_DATA
+
+
 def test_fit_and_predict_round_trip(tmp_path):
     data = tmp_path / "data.npz"
     run_cli("synth", "--out", str(data), "--shape", "50x5x4", "--blocks", "1",

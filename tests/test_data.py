@@ -142,6 +142,16 @@ def test_synthetic_noiseless_response_is_exact_block_sum():
     assert np.array_equal(ds.y, truth.y_clean)
 
 
+def test_synthetic_noiseless_is_none_or_plus_inf_only():
+    # +inf is noiseless byte for byte; NaN and -inf are no noise level at all
+    ref, _ = make_synthetic((20, 4, 3), n_blocks=1, noise_snr_db=None, seed=4)
+    got, _ = make_synthetic((20, 4, 3), n_blocks=1, noise_snr_db=float("inf"), seed=4)
+    assert got.x.tobytes() == ref.x.tobytes() and got.y.tobytes() == ref.y.tobytes()
+    for bad in (float("nan"), float("-inf")):
+        with pytest.raises(DataError, match="noise SNR"):
+            make_synthetic((20, 4, 3), n_blocks=1, noise_snr_db=bad, seed=4)
+
+
 def test_synthetic_same_seed_identical():
     a, _ = make_synthetic((25, 4, 3), n_blocks=2, noise_snr_db=20.0, seed=9)
     b, _ = make_synthetic((25, 4, 3), n_blocks=2, noise_snr_db=20.0, seed=9)

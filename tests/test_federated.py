@@ -355,12 +355,12 @@ def test_transient_dropout_recovers_with_retry(monkeypatch):
             self.recv_count = {cid: 0 for cid in sessions}
             self.failed_once = False
 
-        def recv(self, client_id, timeout=None):
+        def recv(self, client_id):
             self.recv_count[client_id] += 1
             if client_id == 1 and self.recv_count[1] == 2 and not self.failed_once:
                 self.failed_once = True
                 raise ClientDropout(client_id, "injected transient failure")
-            return super().recv(client_id, timeout)
+            return super().recv(client_id)
 
     def federate(transport_type):
         extractions.clear()
@@ -387,11 +387,11 @@ def test_permanent_dropout_excludes_client():
             super().__init__(sessions)
             self.recv_count = {cid: 0 for cid in sessions}
 
-        def recv(self, client_id, timeout=None):
+        def recv(self, client_id):
             self.recv_count[client_id] += 1
             if client_id == 1 and self.recv_count[1] >= 2:
                 raise ClientDropout(client_id, "injected permanent failure")
-            return super().recv(client_id, timeout)
+            return super().recv(client_id)
 
     clients = [make_dataset(52), make_dataset(53)]
     sessions = {cid: ClientSession(cid, x, y) for cid, (x, y) in enumerate(clients)}
@@ -407,8 +407,8 @@ def test_every_client_dropping_during_retry_raises_protocol_error():
     class RetryKillsAllTransport(LoopbackTransport):
         failed_once = False
 
-        def recv(self, client_id, timeout=None):
-            msg = super().recv(client_id, timeout)
+        def recv(self, client_id):
+            msg = super().recv(client_id)
             if msg.kind == MessageKind.ACE_REPORT and msg.round == 2 and not self.failed_once:
                 self.failed_once = True
                 raise ClientDropout(client_id, "injected report failure")

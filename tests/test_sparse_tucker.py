@@ -380,11 +380,12 @@ def test_fmpstd_ranks_never_exceed_cap():
     assert all(r <= 10 for r in res.ranks)
 
 
-def test_fmpstd_non_convergence_flag():
+def test_fmpstd_non_convergence_flag(monkeypatch):
     rng = np.random.default_rng(14)
     x = rng.normal(size=(50, 6, 5))
     y = rng.normal(size=(50, 1))
-    res = f_mpstd(x, y, snr=5.0, tau=95.0, max_sweeps=1)
+    monkeypatch.setattr(st, "MAX_SWEEPS", 1)
+    res = f_mpstd(x, y, snr=5.0, tau=95.0)
     assert res.converged is False
 
 
@@ -543,14 +544,13 @@ def planted_or_noise(kind):
 
 
 def ace_reference(x, y, grid, rank_cap=10):
-    """ace without the shared refresh cache: every cell runs alone from one HOOI start."""
+    """ace without the shared refresh cache: every cell runs alone from its own HOOI start."""
     c = cross_covariance(x, y)
-    init = hooi_init(c, [min(e, rank_cap) for e in c.shape])
     cells, best = [], None
     for snr in grid.snr_values:
         snr_best = None
         for tau in grid.tau_values:
-            res = f_mpstd_cov(c, snr, tau, rank_cap=rank_cap, init=init)
+            res = f_mpstd_cov(c, snr, tau, rank_cap=rank_cap)
             cells.append(res)
             b = bic_score(c, res)
             if snr_best is None or b < snr_best[0]:
@@ -566,6 +566,24 @@ def ace_reference(x, y, grid, rank_cap=10):
                        factors=res.factors, snr_star=snr_star, tau_star=tau_star, bic=bic)
 
 
+def freeze(result):
+    for m in [result.core, result.q] + list(result.factors):
+        m.setflags(write=False)
+    return result
+
+
+class ReadOnlySearch(st.GridSearch):
+    """A GridSearch whose HOOI start and every stored refresh are read-only,
+    so a cell or ace that wrote into what the search handed it would raise."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        freeze(self.init)
+
+    def refresh(self, result):
+        return freeze(super().refresh(result))
+
+
 @pytest.mark.parametrize("kind", ["planted", "noise"])
 def test_ace_equals_cache_free_reference_loop(kind, monkeypatch):
     x, y = planted_or_noise(kind)
@@ -577,21 +595,24 @@ def test_ace_equals_cache_free_reference_loop(kind, monkeypatch):
         return cells[-1]
 
     monkeypatch.setattr(st, "f_mpstd_cov", recording)
-    got = ace(x, y, CACHE_GRID)
-    assert len(cells) == len(ref_cells) == 20
-    for a, b in zip(cells, ref_cells):
-        assert a.converged == b.converged
-        for u, v in zip([a.core, a.q] + a.factors, [b.core, b.q] + b.factors):
+    for search_type in (st.GridSearch, ReadOnlySearch):
+        monkeypatch.setattr(st, "GridSearch", search_type)
+        cells.clear()
+        got = ace(x, y, CACHE_GRID)
+        assert len(cells) == len(ref_cells) == 20
+        for a, b in zip(cells, ref_cells):
+            assert a.converged == b.converged
+            for u, v in zip([a.core, a.q] + a.factors, [b.core, b.q] + b.factors):
+                assert u.shape == v.shape and u.tobytes() == v.tobytes()
+        block = got.block
+        for name in ("core", "score_core", "q"):
+            assert getattr(block, name).tobytes() == ref[name].tobytes(), name
+        assert got.t.tobytes() == ref["t"].tobytes()
+        assert np.float64(block.d).tobytes() == np.float64(ref["d"]).tobytes()
+        assert len(block.factors) == len(ref["factors"])
+        for u, v in zip(block.factors, ref["factors"]):
             assert u.shape == v.shape and u.tobytes() == v.tobytes()
-    block = got.block
-    for name in ("core", "score_core", "q"):
-        assert getattr(block, name).tobytes() == ref[name].tobytes(), name
-    assert got.t.tobytes() == ref["t"].tobytes()
-    assert np.float64(block.d).tobytes() == np.float64(ref["d"]).tobytes()
-    assert len(block.factors) == len(ref["factors"])
-    for u, v in zip(block.factors, ref["factors"]):
-        assert u.shape == v.shape and u.tobytes() == v.tobytes()
-    assert (got.snr_star, got.tau_star, got.bic) == (ref["snr_star"], ref["tau_star"], ref["bic"])
+        assert (got.snr_star, got.tau_star, got.bic) == (ref["snr_star"], ref["tau_star"], ref["bic"])
 
 
 def test_ace_refresh_cache_is_used_and_bounded(monkeypatch):
@@ -651,10 +672,13 @@ def test_grid_search_refresh_that_lowers_a_rank():
     ref = st._hooi_refresh(c, res)
     assert ref.ranks == (1, 1, 1)
     search = st.GridSearch(c, 10)
-    for _ in range(2):  # a miss, then a hit
-        got = search.refresh(res)
-        for u, v in zip([got.core, got.q] + got.factors, [ref.core, ref.q] + ref.factors):
-            assert u.shape == v.shape and u.tobytes() == v.tobytes()
+    got = search.refresh(res)  # a miss
+    for u, v in zip([got.core, got.q] + got.factors, [ref.core, ref.q] + ref.factors):
+        assert u.shape == v.shape and u.tobytes() == v.tobytes()
+    # a repeat refresh, in the same row or the next, hands back the stored result itself
+    assert search.refresh(res) is got
+    search.start_row()
+    assert search.refresh(res) is got
 
 
 def test_hypergrid_validation():
@@ -676,14 +700,10 @@ def test_fmpstd_cov_reuses_shared_init():
     x = rng.normal(size=(40, 6, 5))
     y = (x[:, 2, 2] + 0.1 * rng.normal(size=40)).reshape(-1, 1)
     c = cross_covariance(x, y)
-    init = hooi_init(c, [min(e, 10) for e in c.shape])
-    # a pruned result can share init's arrays: the cell must never write into them
-    for m in [init.core, init.q] + init.factors:
-        m.setflags(write=False)
-    a = f_mpstd_cov(c, 15.0, 97.0, init=init)
+    search = st.GridSearch(c, 10)
+    # a pruned result can share the start's arrays: the cell must never write into them
+    freeze(search.init)
+    a = f_mpstd_cov(c, 15.0, 97.0, search=search)
     b = f_mpstd(x, y, snr=15.0, tau=97.0)
     assert np.allclose(a.core, b.core, atol=1e-12)
     assert a.ranks == b.ranks
-    # a search starts from its own init, so one given beside it would be dropped
-    with pytest.raises(ValueError, match="not both"):
-        f_mpstd_cov(c, 15.0, 97.0, init=init, search=st.GridSearch(c, 10))
