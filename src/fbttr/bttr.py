@@ -3,7 +3,10 @@
 Training alternates block extraction on the predictor/response residuals
 with rank-one response deflation: each block contributes a unit score
 vector t_k, a response loading q_k and a coefficient d_k = u_k' t_k, and
-is subtracted from both residuals before the next extraction.  Prediction
+is subtracted from both residuals before the next extraction.  The
+predictor residual becomes E - t_k ⊗ (core_k x_2 P_k2 ... x_N P_kN): the
+block is expanded into feature space once, and its outer product with t_k
+is the only residual-sized array a deflation makes.  Prediction
 is two matrix products, y_hat = unfold(x, 1) @ W @ Z, where column k of W,
 vec(score_core_k x_2 P_k2 ... x_N P_kN) less its projections on earlier
 loadings g_j = vec(core_j x_2 P_j2 ... x_N P_jN), reproduces the extracted
@@ -124,13 +127,11 @@ class BttrModel:
         return predict(self, x_test)
 
 
-def expand(core, factors, t=None) -> np.ndarray:
-    """A block in feature space, ``core x_1 t x_2 P_2 ... x_N P_N`` with
-    ``factors`` = [P_2, ..., P_N]; mode 1 is left alone when ``t`` is None."""
-    fmap = {n + 2: f for n, f in enumerate(factors)}
-    if t is not None:
-        fmap[1] = t
-    return multilinear_product(core, fmap)
+def expand(core, factors) -> np.ndarray:
+    """A block in feature space, ``core x_2 P_2 ... x_N P_N`` with
+    ``factors`` = [P_2, ..., P_N]; mode 1 is left alone, so a core of
+    mode-1 extent 1 gives the feature shape with a leading 1."""
+    return multilinear_product(core, {n + 2: f for n, f in enumerate(factors)})
 
 
 def materialize_predictor(blocks, input_shape) -> tuple:
@@ -162,10 +163,21 @@ def materialize_predictor(blocks, input_shape) -> tuple:
 
 
 def deflate(e, f, core, factors, q, d, t) -> tuple:
-    """(E - core x_1 t x_2 P_2 ... x_N P_N, F - d t q'): the rank-one
+    """(E - t ⊗ (core x_2 P_2 ... x_N P_N), F - d t q'): the rank-one
     deflation of the residuals by one block, with d the :func:`coefficient`
-    of F on (q, t)."""
-    return e - expand(core, factors, t), f - d * (t @ q.T)
+    of F on (q, t).
+
+    The block is expanded once, at the feature shape, and the outer product
+    with the score ``t`` is written into the one new residual-sized array,
+    which then takes E minus itself in place.  ``core`` must have mode-1
+    extent 1.
+    """
+    g = expand(core, factors)
+    if g.shape[0] != 1:
+        raise ValueError(f"deflation needs a core of mode-1 extent 1, got shape {g.shape}")
+    out = np.multiply(np.reshape(t, (e.shape[0],) + (1,) * (e.ndim - 1)), g)
+    np.subtract(e, out, out=out)
+    return out, f - d * (t @ q.T)
 
 
 def fit(x, y, cfg: FitConfig, normalization: Optional[NormStats] = None) -> BttrModel:

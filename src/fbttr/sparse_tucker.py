@@ -436,6 +436,8 @@ def finalize_block(x, core, factors):
     Returns (t, block_core, score_core) where t is the unit-norm score,
     block_core the projection of x onto (t, factors), and score_core the
     core whose vectorisation maps the factor-projected x onto t exactly.
+    ``x`` is projected onto the factors once, ``proj = x x_2 P_2' ... x_N P_N'``;
+    t is read off ``proj`` and block_core is ``proj x_1 t'``.
     """
     proj = multilinear_product(x, {n + 2: f.T for n, f in enumerate(factors)})
     t_raw = unfold(proj, 1) @ vec(core)
@@ -443,10 +445,7 @@ def finalize_block(x, core, factors):
     if rho == 0.0 or not math.isfinite(rho):
         raise AceError("degenerate score direction (zero projection)")
     t = (t_raw / rho).reshape(-1, 1)
-    factor_map = {1: t.T}
-    factor_map.update({n + 2: f.T for n, f in enumerate(factors)})
-    block_core = multilinear_product(x, factor_map)
-    return t, block_core, core / rho
+    return t, _mode_product(proj, t.T, 1), core / rho
 
 
 def coefficient(f, q, t) -> float:
@@ -498,7 +497,7 @@ def ace(x, y, grid: HyperGrid = None, rank_cap: int = DEFAULT_RANK_CAP) -> AceRe
                 snr_best = (b, snr, tau, res)
         if snr_best is not None and (best is None or snr_best[0] < best[0]):
             best = snr_best
-    # free the cache before finalize_block's sample-sized products, so they
+    # free the cache before finalize_block's sample-sized projection, so it
     # can reuse its memory instead of growing the heap
     del search
     if best is None:

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbttr import bttr, sparse_tucker
 from fbttr.bttr import (
@@ -9,6 +11,7 @@ from fbttr.bttr import (
     FitConfig,
     FitError,
     NormStats,
+    deflate,
     fit,
     materialize_predictor,
     predict,
@@ -255,6 +258,65 @@ def test_materialize_predictor_forms_no_kronecker_product():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
+
+
+@st.composite
+def block_cases(draw):
+    """A residual of order 2-5 and one block on it with random feature ranks."""
+    order = draw(st.integers(2, 5))
+    n = draw(st.integers(2, 12))
+    shape = tuple(draw(st.integers(1, 6)) for _ in range(order - 1))
+    ranks = tuple(draw(st.integers(1, ext)) for ext in shape)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n,) + shape)
+    factors = [random_orthonormal(rng, ext, r) for ext, r in zip(shape, ranks)]
+    return x, factors, rng.normal(size=(1,) + ranks)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(block_cases())
+def test_one_pass_deflation_and_block_core_match_mode_product_formulas(case):
+    # the formulas deflate and finalize_block replaced, kept here as reference:
+    # E - core x1 t x2 P2 ... xN PN and x x1 t' x2 P2' ... xN PN'
+    x, factors, score_core = case
+    t, core, _ = finalize_block(x, score_core, factors)
+    ref_core = multilinear_product(x, {1: t.T, **{n + 2: f.T for n, f in enumerate(factors)}})
+    assert core.shape == ref_core.shape
+    assert np.max(np.abs(core - ref_core)) <= 1e-12 * np.max(np.abs(ref_core))
+
+    f, q = np.ones((x.shape[0], 1)), np.ones((1, 1))
+    e, new_f = deflate(x, f, core, factors, q, 0.5, t)
+    ref_e = x - multilinear_product(core, {1: t, **{n + 2: p for n, p in enumerate(factors)}})
+    assert e.shape == x.shape
+    assert np.max(np.abs(e - ref_e)) <= 1e-12 * np.max(np.abs(x))
+    np.testing.assert_array_equal(new_f, f - 0.5 * t)
+
+
+def test_deflate_rejects_a_core_of_mode1_extent_two():
+    # with n = 2, broadcasting t against a 2 x I2 x I3 expansion would pass silently
+    rng = np.random.default_rng(16)
+    factors = [random_orthonormal(rng, 4, 2), random_orthonormal(rng, 3, 2)]
+    t = np.array([[0.6], [0.8]])
+    with pytest.raises(ValueError):
+        deflate(rng.normal(size=(2, 4, 3)), np.ones((2, 1)), rng.normal(size=(2, 2, 2)),
+                factors, np.ones((1, 1)), 1.0, t)
+
+
+def test_deflate_allocates_one_residual():
+    rng = np.random.default_rng(17)
+    e = rng.normal(size=(200, 16, 12, 10))
+    ranks = (4, 3, 5)
+    factors = [random_orthonormal(rng, ext, r) for ext, r in zip(e.shape[1:], ranks)]
+    core, t = rng.normal(size=(1,) + ranks), random_orthonormal(rng, 200, 1)
+    f, q = rng.normal(size=(200, 1)), np.ones((1, 1))
+    tracemalloc.start()
+    try:
+        out, _ = deflate(e, f, core, factors, q, 1.0, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == e.shape
+    assert peak <= 1.25 * e.nbytes
 
 
 def test_select_k_cv_planted_single_block():
