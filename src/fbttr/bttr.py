@@ -195,10 +195,6 @@ def fit(x, y, cfg: FitConfig, normalization: Optional[NormStats] = None) -> Bttr
     y = as_matrix(y)
     if y.shape[0] != x.shape[0]:
         raise ValueError(f"sample count mismatch: x has {x.shape[0]}, y has {y.shape[0]}")
-    if not np.isfinite(y).all():
-        raise ValueError("response contains non-finite values")
-    if not np.isfinite(x).all():
-        raise ValueError("predictor contains non-finite values")
 
     e, f = x, y  # deflation builds new residuals and never writes to these
     blocks = []

@@ -13,6 +13,7 @@ scalars, norms and sample counts ever cross the wire.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -287,8 +288,8 @@ class ClientSession:
             raise ValueError("sample count mismatch between x and y")
         self.state = ClientState(
             client_id=client_id,
-            e_residual=x.copy(),
-            f_residual=y.copy(),
+            e_residual=x,
+            f_residual=y,
             sample_count=x.shape[0],
         )
         self.feature_shape = tuple(x.shape[1:])
@@ -443,21 +444,24 @@ def _collect_reports(transport, live, rnd: int) -> dict:
 
 
 def _aggregable(msg: Message, feature_shape, n_responses: int, target_ranks) -> bool:
-    """Whether ``msg`` carries a block with the handshake's shapes at the round's target ranks."""
+    """Whether ``msg`` carries a finite block with the handshake's shapes at
+    the round's target ranks."""
     block = msg.payload.block if msg.kind == MessageKind.BLOCK_UPDATE else None
     core_shape = (1,) + tuple(target_ranks)
     return block is not None and (
         block.core.shape == block.score_core.shape == core_shape
         and block.q.shape == (n_responses, 1)
         and [f.shape for f in block.factors] == list(zip(feature_shape, target_ranks))
+        and math.isfinite(block.d)
+        and all(np.isfinite(a).all() for a in [block.core, block.score_core, block.q] + block.factors)
     )
 
 
 def _run_round(transport, live, rnd: int, feature_shape, n_responses: int):
     """One full round; returns the aggregated block or None when no client sent one.
 
-    A client that replies with an ERROR, a skip or a block of other shapes
-    is excluded from this round's aggregation.
+    A client that replies with an ERROR, a skip, a block of other shapes or
+    a block holding NaN or inf is excluded from this round's aggregation.
     """
     reports = _collect_reports(transport, live, rnd)
     active = {cid: r for cid, r in reports.items() if not r.skip}

@@ -333,23 +333,25 @@ def _refresh_key(result: SparseTuckerResult) -> tuple:
 
 
 class GridSearch:
-    """What the grid cells of one :func:`ace` call share: ``c``, its HOOI start
-    and the factor refreshes of the current and the previous SNR row.
+    """The context every grid cell runs in: ``c``, its HOOI start at ranks
+    capped at ``rank_cap`` per mode, and the factor refreshes of the current
+    and the previous SNR row.
 
-    A refresh depends only on ``c`` and the incoming ``q`` and factors, so a
-    cell whose trajectory reaches factors an earlier cell refreshed reuses
-    that result, keyed on their exact shapes and bytes: the result is
-    bit-identical to recomputing it.  An entry is the
-    :class:`SparseTuckerResult` the refresh returned, and a hit hands back
-    that same object, whose ranks are its own even when the refresh lowered
-    one; callers read it and never write into it.  A hit moves the entry
-    into the current row; :meth:`start_row` drops what the row before last
-    left.
+    One :func:`ace` call runs all its cells in one search; :func:`f_mpstd`
+    runs its one cell in a search of its own.  A refresh depends only on
+    ``c`` and the incoming ``q`` and factors, so a cell whose trajectory
+    reaches factors an earlier cell refreshed reuses that result, keyed on
+    their exact shapes and bytes: the result is bit-identical to
+    recomputing it.  An entry is the :class:`SparseTuckerResult` the
+    refresh returned, and a hit hands back that same object, whose ranks
+    are its own even when the refresh lowered one; callers read it and
+    never write into it.  A hit moves the entry into the current row;
+    :meth:`start_row` drops what the row before last left.
     """
 
-    def __init__(self, c: np.ndarray, rank_cap: int):
-        self.c = c
-        self.init = hooi_init(c, [min(ext, rank_cap) for ext in c.shape])
+    def __init__(self, c, rank_cap: int):
+        self.c = as_tensor(c)
+        self.init = hooi_init(self.c, [min(ext, rank_cap) for ext in self.c.shape])
         self.row, self.last_row = {}, {}
 
     def start_row(self) -> None:
@@ -366,26 +368,18 @@ class GridSearch:
         return fresh
 
 
-def f_mpstd_cov(c, snr: float, tau: float, rank_cap: int = DEFAULT_RANK_CAP,
-                search: GridSearch = None) -> SparseTuckerResult:
-    """Sparse Tucker decomposition of a covariance tensor ``c``.
+def f_mpstd_cov(search: GridSearch, snr: float, tau: float) -> SparseTuckerResult:
+    """Sparse Tucker decomposition of the covariance tensor ``search.c``.
 
-    Starts from HOOI at full ranks capped at ``rank_cap`` per mode, then
-    alternates SNR-derived soft thresholding of the core with tau pruning
-    and an orthogonal factor refresh until the sparse core stabilises
-    (relative change below :data:`SWEEP_TOL`) or :data:`MAX_SWEEPS` elapse.
-    A non-converged run returns the last iterate with ``converged=False``.
-    With ``search`` (a :class:`GridSearch` of this ``c``), the cell starts
-    from the search's HOOI start, whose ``rank_cap`` then applies, and takes
-    every refresh from its cache; the result is bit-identical to running
-    without it.  The cell never writes into the start or a refresh it was
-    handed.
+    Starts from the search's HOOI start, then alternates SNR-derived soft
+    thresholding of the core with tau pruning and an orthogonal factor
+    refresh, taken from ``search.refresh``, until the sparse core
+    stabilises (relative change below :data:`SWEEP_TOL`) or
+    :data:`MAX_SWEEPS` elapse.  A non-converged run returns the last
+    iterate with ``converged=False``.  The cell never writes into the start
+    or a refresh it was handed.
     """
-    c = as_tensor(c)
-    if search is None:
-        res = hooi_init(c, [min(ext, rank_cap) for ext in c.shape])
-    else:
-        res = search.init
+    c, res = search.c, search.init
     prev_core = None
     for _ in range(MAX_SWEEPS):
         lam = lambda_from_snr(c, res.core, snr)
@@ -397,13 +391,14 @@ def f_mpstd_cov(c, snr: float, tau: float, rank_cap: int = DEFAULT_RANK_CAP,
             if delta <= SWEEP_TOL * denom or (denom == 0.0 and delta == 0.0):
                 return replace(pruned, converged=True)
         prev_core = pruned.core
-        res = _hooi_refresh(c, pruned) if search is None else search.refresh(pruned)
+        res = search.refresh(pruned)
     return replace(pruned, converged=False)
 
 
-def f_mpstd(x, y, snr: float, tau: float, **kwargs) -> SparseTuckerResult:
-    """Sparse Tucker decomposition of the cross-covariance of (x, y)."""
-    return f_mpstd_cov(cross_covariance(x, y), snr, tau, **kwargs)
+def f_mpstd(x, y, snr: float, tau: float, rank_cap: int = DEFAULT_RANK_CAP) -> SparseTuckerResult:
+    """Sparse Tucker decomposition of the cross-covariance of (x, y): one
+    :func:`f_mpstd_cov` cell in a :class:`GridSearch` of its own."""
+    return f_mpstd_cov(GridSearch(cross_covariance(x, y), rank_cap), snr, tau)
 
 
 def bic_score(c, result: SparseTuckerResult) -> float:
@@ -465,38 +460,34 @@ def block_from(x, y, res: SparseTuckerResult) -> tuple:
 def ace(x, y, grid: HyperGrid = None, rank_cap: int = DEFAULT_RANK_CAP) -> AceResult:
     """Extract one maximally correlated block with automatic (SNR, tau) selection.
 
-    Every grid cell is one :func:`f_mpstd_cov` run from the same HOOI start,
-    scored by :func:`bic_score`; per SNR the best tau is chosen first, then
-    the best SNR, with ties broken toward the smaller value in both loops.
-    The cells share one :class:`GridSearch`, so a factor refresh another
-    cell of this or the previous SNR row already made is reused, not
-    recomputed; the result is bit-identical to running every cell alone.
-    The winning decomposition becomes the result's block through
+    Every grid cell is one :func:`f_mpstd_cov` run in the same
+    :class:`GridSearch`, so from the same HOOI start, and a factor refresh
+    another cell of this or the previous SNR row already made is reused,
+    not recomputed.  Cells are scored by :func:`bic_score`, and the winner
+    is the first cell of minimal BIC in row-major order (SNR outer, tau
+    inner), so a tie goes to the smaller SNR, then the smaller tau.  The
+    winning decomposition becomes the result's block through
     :func:`block_from`.
     """
     x = as_tensor(x, min_order=2)
     y = as_matrix(y)
     grid = grid or HyperGrid()
-    c = cross_covariance(x, y)
     try:
-        search = GridSearch(c, rank_cap)
+        search = GridSearch(cross_covariance(x, y), rank_cap)
     except DecompositionError as e:
         raise AceError(f"initial decomposition failed: {e}") from e
 
     best = None  # (bic, snr, tau, result)
     for snr in grid.snr_values:
         search.start_row()
-        snr_best = None
         for tau in grid.tau_values:
             try:
-                res = f_mpstd_cov(c, snr, tau, search=search)
-            except (DecompositionError, ValueError):
+                res = f_mpstd_cov(search, snr, tau)
+            except ValueError:
                 continue
-            b = bic_score(c, res)
-            if snr_best is None or b < snr_best[0]:
-                snr_best = (b, snr, tau, res)
-        if snr_best is not None and (best is None or snr_best[0] < best[0]):
-            best = snr_best
+            b = bic_score(search.c, res)
+            if best is None or b < best[0]:
+                best = (b, snr, tau, res)
     # free the cache before finalize_block's sample-sized projection, so it
     # can reuse its memory instead of growing the heap
     del search

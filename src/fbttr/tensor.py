@@ -42,7 +42,7 @@ __all__ = [
 def as_tensor(data, min_order: int = 1) -> np.ndarray:
     """Validate and coerce ``data`` to a float64 C-contiguous ndarray.
 
-    Rejects NaN entries, empty extents, and order > 8.
+    Rejects NaN and ±inf entries, empty extents, and order > 8.
     """
     a = np.ascontiguousarray(data, dtype=np.float64)
     if a.ndim < min_order:
@@ -53,8 +53,8 @@ def as_tensor(data, min_order: int = 1) -> np.ndarray:
         a = a.reshape(1)
     if any(s < 1 for s in a.shape):
         raise ValueError(f"all extents must be >= 1, got shape {a.shape}")
-    if np.isnan(a).any():
-        raise ValueError("tensor contains NaN")
+    if not np.isfinite(a).all():
+        raise ValueError("tensor contains NaN or inf")
     return a
 
 

@@ -480,6 +480,68 @@ def test_lone_client_with_misshaped_block_raises_fit_error():
         federated_fit_over(LoopbackTransport({0: DoubledRowsSession(0, *make_dataset(65))}), CFG)
 
 
+class PoisonedBlockSession(ClientSession):
+    """A client that writes a NaN or an inf into one field of every block update."""
+
+    def __init__(self, *args, field):
+        super().__init__(*args)
+        self.field = field
+
+    def handle(self, msg):
+        out = super().handle(msg)
+        for m in out:
+            if m.kind == MessageKind.BLOCK_UPDATE and not m.payload.skip:
+                b = m.payload.block
+                if self.field == "d":
+                    b.d = np.nan
+                elif self.field == "factors":
+                    b.factors = [f.copy() for f in b.factors]
+                    b.factors[-1][0, 0] = -np.inf
+                else:
+                    a = getattr(b, self.field).copy()
+                    a.flat[0] = np.nan if self.field == "core" else np.inf
+                    setattr(b, self.field, a)
+        return out
+
+
+@pytest.mark.parametrize("field", ["core", "score_core", "q", "factors", "d"])
+def test_hub_excludes_block_holding_nan_or_inf(field):
+    clients = [make_dataset(66), make_dataset(67)]
+    sessions = {0: ClientSession(0, *clients[0]),
+                1: PoisonedBlockSession(1, *clients[1], field=field)}
+    transport = LoopbackTransport(sessions)
+    model = federated_fit_over(transport, CFG)
+    assert transport.client_ids() == [0, 1]
+    solo = run_federated_fit([clients[0]], CFG)
+    assert model.n_blocks == solo.n_blocks >= 1
+    assert model.w.tobytes() == solo.w.tobytes()
+    assert model.z.tobytes() == solo.z.tobytes()
+
+
+def test_client_session_rejects_inf_data():
+    x, y = make_dataset(68)
+    for value in (np.inf, -np.inf):
+        bad = x.copy()
+        bad[0, 0, 0] = value
+        with pytest.raises(ValueError):
+            ClientSession(0, bad, y)
+        bad = y.copy()
+        bad[0, 0] = value
+        with pytest.raises(ValueError):
+            ClientSession(0, x, bad)
+
+
+def test_client_session_neither_copies_nor_writes_its_data():
+    clients = [make_dataset(69), make_dataset(70)]
+    originals = [(x.tobytes(), y.tobytes()) for x, y in clients]
+    session = ClientSession(0, *clients[0])
+    assert np.shares_memory(session.state.e_residual, clients[0][0])
+    assert np.shares_memory(session.state.f_residual, clients[0][1])
+    model = run_federated_fit(clients, CFG)
+    assert model.n_blocks == 2
+    assert [(x.tobytes(), y.tobytes()) for x, y in clients] == originals
+
+
 def test_epsilon_above_norms_still_yields_one_block_then_stops():
     # mirrors the centralized minimum-one-block rule, then every later
     # round is skipped and training ends with a single global block

@@ -543,14 +543,22 @@ def planted_or_noise(kind):
     return rng.normal(size=(60, 8, 6)), rng.normal(size=(60, 1))
 
 
+class CacheFreeSearch(st.GridSearch):
+    """A GridSearch that recomputes every refresh and stores none."""
+
+    def refresh(self, result):
+        return st._hooi_refresh(self.c, result)
+
+
 def ace_reference(x, y, grid, rank_cap=10):
-    """ace without the shared refresh cache: every cell runs alone from its own HOOI start."""
+    """ace without the shared refresh cache: every cell runs alone from its own
+    HOOI start, and the winner is the best tau per SNR, then the best SNR."""
     c = cross_covariance(x, y)
     cells, best = [], None
     for snr in grid.snr_values:
         snr_best = None
         for tau in grid.tau_values:
-            res = f_mpstd_cov(c, snr, tau, rank_cap=rank_cap)
+            res = f_mpstd_cov(CacheFreeSearch(c, rank_cap), snr, tau)
             cells.append(res)
             b = bic_score(c, res)
             if snr_best is None or b < snr_best[0]:
@@ -703,7 +711,7 @@ def test_fmpstd_cov_reuses_shared_init():
     search = st.GridSearch(c, 10)
     # a pruned result can share the start's arrays: the cell must never write into them
     freeze(search.init)
-    a = f_mpstd_cov(c, 15.0, 97.0, search=search)
+    a = f_mpstd_cov(search, 15.0, 97.0)
     b = f_mpstd(x, y, snr=15.0, tau=97.0)
     assert np.allclose(a.core, b.core, atol=1e-12)
     assert a.ranks == b.ranks

@@ -135,9 +135,9 @@ def test_unfold_mode_out_of_range():
 
 
 def test_nan_rejected():
-    bad = np.array([1.0, np.nan])
-    with pytest.raises(ValueError):
-        as_tensor(bad)
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            as_tensor(np.array([1.0, value]))
     with pytest.raises(ValueError):
         multilinear_product(np.ones((2, 2)), {1: np.eye(2), 2: np.array([[1.0, np.nan]])})
 
