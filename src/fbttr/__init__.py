@@ -11,7 +11,6 @@ from .data import CsvSchema, DataError, Dataset, PartitionPlan, load_csv, load_n
 from .experiment import ConfigError, EvalReport, ExperimentConfig, build_report, run_experiment
 from .federated import (
     ClientSession,
-    ClientState,
     aggregate_block,
     client_deflate,
     client_local_block,

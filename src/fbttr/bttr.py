@@ -22,11 +22,11 @@ import numpy as np
 
 from .sparse_tucker import DEFAULT_RANK_CAP, AceError, Block, HyperGrid, ace, coefficient
 from .tensor import (
+    _unfold,
     as_matrix,
     as_tensor,
     frobenius_norm,
     multilinear_product,
-    unfold,
     vec,
 )
 
@@ -235,7 +235,7 @@ def predict(model: BttrModel, x_test) -> np.ndarray:
         raise ValueError(
             f"test tensor feature shape {x_test.shape[1:]} does not match model {model.input_shape}"
         )
-    return unfold(x_test, 1) @ model.w @ model.z
+    return _unfold(x_test, 1) @ model.w @ model.z
 
 
 def residual_trace(model: BttrModel):
@@ -246,7 +246,7 @@ def residual_trace(model: BttrModel):
 
 
 def _prefix_scores(model: BttrModel, x, k: int) -> np.ndarray:
-    return unfold(as_tensor(x, min_order=2), 1) @ model.w[:, :k] @ model.z[:k, :]
+    return _unfold(as_tensor(x, min_order=2), 1) @ model.w[:, :k] @ model.z[:k, :]
 
 
 def select_k_cv(x, y, cfg: FitConfig, folds: int, task: str = "regression") -> int:

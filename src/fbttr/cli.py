@@ -135,10 +135,10 @@ def cmd_federate(args) -> int:
     x, y, _ = training_view(_load_data(args))
     host, port = _host_port(args.connect)
     try:
-        state = run_socket_client(host, port, x, y, round_timeout=args.round_timeout)
+        session = run_socket_client(host, port, x, y, round_timeout=args.round_timeout)
     except OSError as e:
         raise ProtocolError(f"cannot reach server at {host}:{port}: {e}") from e
-    print(f"client finished after {state.blocks_deflated} block(s)")
+    print(f"client finished after {session.blocks_deflated} block(s)")
     return EXIT_OK
 
 

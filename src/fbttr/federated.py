@@ -14,7 +14,7 @@ scalars, norms and sample counts ever cross the wire.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -22,6 +22,7 @@ import numpy as np
 from .bttr import Block, BttrModel, FitConfig, FitError, deflate, materialize_predictor
 from .sparse_tucker import (
     AceError,
+    AceResult,
     SparseTuckerResult,
     ace,
     block_from,
@@ -47,7 +48,6 @@ from .wire import (
 )
 
 __all__ = [
-    "ClientState",
     "ClientSession",
     "aggregation_weights",
     "harmonize_ranks",
@@ -61,17 +61,6 @@ __all__ = [
 ]
 
 MAX_STALE_FRAMES = 16  # frames from aborted rounds a hub read skips before giving up
-
-
-@dataclass
-class ClientState:
-    """Residuals and bookkeeping held by one client; never leaves the client."""
-
-    client_id: int
-    e_residual: np.ndarray
-    f_residual: np.ndarray
-    sample_count: int
-    blocks_deflated: int = 0
 
 
 def aggregation_weights(sample_counts) -> np.ndarray:
@@ -129,52 +118,39 @@ def truncate_to_ranks(res: SparseTuckerResult, target_ranks) -> SparseTuckerResu
     return replace(res, core=core, factors=factors)
 
 
-def client_local_block(state: ClientState, assignment: HyperAssign, cfg: FitConfig,
-                       cached=None, first_block: bool = False) -> BlockUpdate:
-    """One local block at the assigned hyperparameters and target ranks.
+def client_local_block(e, f, own: AceResult, assignment: HyperAssign, rank_cap: int) -> BlockUpdate:
+    """The round's local block at the assigned (SNR, tau) and target ranks.
 
-    Residuals at or below the stop threshold yield a SKIP update, except
-    for the first block, which is always attempted so a federation of one
-    client matches the centralized fit's minimum-one-block rule.  When the
-    client's own extraction already matches the assignment (single client,
-    or its ranks were already the minimum) the cached result is reused;
-    otherwise the decomposition is rerun and truncated.
+    ``own`` is the client's extraction for this round.  When it already
+    matches the assignment (single client, or its ranks were already the
+    minimum) its block is returned; otherwise the decomposition of the
+    residuals ``e``, ``f`` is rerun at the assignment and truncated.
     """
-    e, f = state.e_residual, state.f_residual
-    if not first_block and cfg.stops(frobenius_norm(e), frobenius_norm(f)):
-        return BlockUpdate(state.sample_count)
-
-    if (
-        cached is not None
-        and cached.snr_star == assignment.snr
-        and cached.tau_star == assignment.tau
-        and cached.block.feature_ranks == tuple(assignment.target_ranks)
+    if (own.snr_star, own.tau_star, own.block.feature_ranks) == (
+        assignment.snr, assignment.tau, tuple(assignment.target_ranks)
     ):
-        return BlockUpdate(state.sample_count, cached.block)
-    res = f_mpstd(e, f, snr=assignment.snr, tau=assignment.tau, rank_cap=cfg.rank_cap)
+        return BlockUpdate(e.shape[0], own.block)
+    res = f_mpstd(e, f, snr=assignment.snr, tau=assignment.tau, rank_cap=rank_cap)
     res = truncate_to_ranks(collapse_response_mode(res), assignment.target_ranks)
-    return BlockUpdate(state.sample_count, block_from(e, f, res)[0])
+    return BlockUpdate(e.shape[0], block_from(e, f, res)[0])
 
 
-def client_deflate(state: ClientState, gb: Block) -> tuple:
-    """Deflate local residuals against the broadcast global block.
+def client_deflate(e, f, gb: Block) -> tuple:
+    """Deflate the local residuals ``e``, ``f`` against the broadcast global block.
 
     The score vector is recomputed locally from the global factors and
     score core, the predictor residual loses its own projection onto
     (t, factors), and the response residual is deflated with the global
-    loading but the locally fitted coefficient.  Returns the updated state
-    and the acknowledgement carrying residual norms only.
+    loading but the locally fitted coefficient.  Returns the new residuals
+    and the acknowledgement carrying their norms only.
     """
-    e, f = state.e_residual, state.f_residual
     try:
         t, local_core, _ = finalize_block(e, gb.score_core, gb.factors)
     except AceError:
         # residual has no component along the global block; nothing to remove
-        return state, DeflateAck(e_norm=frobenius_norm(e), f_norm=frobenius_norm(f), deflated=False)
-    new_e, new_f = deflate(e, f, local_core, gb.factors, gb.q, coefficient(f, gb.q, t), t)
-    state = replace(state, e_residual=new_e, f_residual=new_f,
-                    blocks_deflated=state.blocks_deflated + 1)
-    return state, DeflateAck(e_norm=frobenius_norm(new_e), f_norm=frobenius_norm(new_f))
+        return e, f, DeflateAck(e_norm=frobenius_norm(e), f_norm=frobenius_norm(f), deflated=False)
+    e, f = deflate(e, f, local_core, gb.factors, gb.q, coefficient(f, gb.q, t), t)
+    return e, f, DeflateAck(e_norm=frobenius_norm(e), f_norm=frobenius_norm(f))
 
 
 # ---------------------------------------------------------------------------
@@ -279,53 +255,46 @@ def aggregate_block(updates) -> Block:
 # ---------------------------------------------------------------------------
 
 class ClientSession:
-    """Client-side protocol driver: pure function of state and inbound message."""
+    """One client's whole state and its protocol driver.
+
+    ``e``, ``f`` are the residuals (the checked inputs, never copied or
+    written, until the first deflation) and ``norms`` their norms, set here
+    and from each :class:`DeflateAck`.  The stop rule is decided once per
+    round, when the client reports: ``_round`` is (round, AceResult or None
+    for a skip), which a retry reports again and a HYPER_ASSIGN builds on.
+    """
 
     def __init__(self, client_id: int, x, y):
-        x = as_tensor(x, min_order=2)
-        y = as_matrix(y)
-        if y.shape[0] != x.shape[0]:
+        self.e = as_tensor(x, min_order=2)
+        self.f = as_matrix(y)
+        if self.f.shape[0] != self.e.shape[0]:
             raise ValueError("sample count mismatch between x and y")
-        self.state = ClientState(
-            client_id=client_id,
-            e_residual=x,
-            f_residual=y,
-            sample_count=x.shape[0],
-        )
-        self.feature_shape = tuple(x.shape[1:])
-        self.n_responses = y.shape[1]
+        self.client_id = client_id
+        self.norms = (frobenius_norm(self.e), frobenius_norm(self.f))
+        self.blocks_deflated = 0
         self.cfg: Optional[FitConfig] = None
         self.done = False
-        self._ace_cache = (None, None)  # (round, AceResult) of the latest own extraction
+        self._round = (None, None)
 
     def hello(self) -> Message:
-        return Message(
-            kind=MessageKind.HELLO,
-            round=0,
-            client_id=self.state.client_id,
-            payload=Hello(
-                sample_count=self.state.sample_count,
-                feature_shape=self.feature_shape,
-                n_responses=self.n_responses,
-            ),
-        )
+        payload = Hello(sample_count=self.e.shape[0], feature_shape=self.e.shape[1:], n_responses=self.f.shape[1])
+        return self._msg(MessageKind.HELLO, 0, payload)
 
     def _msg(self, kind, rnd, payload) -> Message:
-        return Message(kind=kind, round=rnd, client_id=self.state.client_id, payload=payload)
+        return Message(kind=kind, round=rnd, client_id=self.client_id, payload=payload)
 
     def _ace_report(self, rnd: int) -> Message:
-        # a retried round reports the extraction it made: only a deflation changes the residuals
-        e, f = self.state.e_residual, self.state.f_residual
-        if rnd > 1 and self.cfg.stops(frobenius_norm(e), frobenius_norm(f)):
-            return self._msg(MessageKind.ACE_REPORT, rnd, AceReport(skip=True))
-        cached_round, result = self._ace_cache
-        if cached_round != rnd:
-            try:
-                result = ace(e, f, self.cfg.grid, rank_cap=self.cfg.rank_cap)
-            except AceError:
-                return self._msg(MessageKind.ACE_REPORT, rnd, AceReport(skip=True))
-            self._ace_cache = (rnd, result)
-        report = AceReport(
+        # only a deflation changes the residuals, so a retried round reuses what it stored
+        if self._round[0] != rnd:
+            result = None
+            if rnd == 1 or not self.cfg.stops(*self.norms):
+                try:
+                    result = ace(self.e, self.f, self.cfg.grid, rank_cap=self.cfg.rank_cap)
+                except AceError:
+                    pass
+            self._round = (rnd, result)
+        result = self._round[1]
+        report = AceReport(skip=True) if result is None else AceReport(
             skip=False,
             snr=result.snr_star,
             tau=result.tau_star,
@@ -338,27 +307,26 @@ class ClientSession:
         if msg.kind == MessageKind.HELLO:
             if msg.payload.config is None:
                 raise ProtocolError("hub HELLO carries no training configuration")
-            self.state.client_id = msg.client_id
+            self.client_id = msg.client_id
             self.cfg = msg.payload.config
             return [self._ace_report(1)]
         if msg.kind == MessageKind.HYPER_ASSIGN:
+            rnd, own = self._round
+            if rnd != msg.round or own is None:
+                return [self._msg(MessageKind.BLOCK_UPDATE, msg.round, BlockUpdate(self.e.shape[0]))]
             try:
-                cached_round, cached = self._ace_cache
-                update = client_local_block(
-                    self.state, msg.payload, self.cfg,
-                    cached=cached if cached_round == msg.round else None,
-                    first_block=msg.round == 1,
-                )
+                update = client_local_block(self.e, self.f, own, msg.payload, self.cfg.rank_cap)
             except (AceError, ProtocolError, ValueError) as e:
                 info = ProtocolErrorInfo(code=int(ErrorCode.DECOMPOSITION_FAILED), detail=str(e))
                 return [self._msg(MessageKind.ERROR, msg.round, info)]
             return [self._msg(MessageKind.BLOCK_UPDATE, msg.round, update)]
         if msg.kind == MessageKind.GLOBAL_BLOCK:
-            norms = frobenius_norm(self.state.e_residual), frobenius_norm(self.state.f_residual)
-            if self.cfg.stops(*norms):
-                ack = DeflateAck(*norms, deflated=False)
+            if self.cfg.stops(*self.norms):
+                ack = DeflateAck(*self.norms, deflated=False)
             else:
-                self.state, ack = client_deflate(self.state, msg.payload)
+                self.e, self.f, ack = client_deflate(self.e, self.f, msg.payload)
+                self.norms = (ack.e_norm, ack.f_norm)
+                self.blocks_deflated += ack.deflated
             out = [self._msg(MessageKind.DEFLATE_ACK, msg.round, ack)]
             if msg.round < self.cfg.max_blocks:
                 out.append(self._ace_report(msg.round + 1))
@@ -444,14 +412,13 @@ def _collect_reports(transport, live, rnd: int) -> dict:
 
 
 def _aggregable(msg: Message, feature_shape, n_responses: int, target_ranks) -> bool:
-    """Whether ``msg`` carries a finite block with the handshake's shapes at
-    the round's target ranks."""
+    """Whether ``msg`` carries a finite block that fits the handshake's shapes
+    at the round's target ranks, weighted by a positive sample count."""
     block = msg.payload.block if msg.kind == MessageKind.BLOCK_UPDATE else None
-    core_shape = (1,) + tuple(target_ranks)
     return block is not None and (
-        block.core.shape == block.score_core.shape == core_shape
-        and block.q.shape == (n_responses, 1)
-        and [f.shape for f in block.factors] == list(zip(feature_shape, target_ranks))
+        msg.payload.n_samples >= 1
+        and block.fits(feature_shape, n_responses)
+        and block.feature_ranks == tuple(target_ranks)
         and math.isfinite(block.d)
         and all(np.isfinite(a).all() for a in [block.core, block.score_core, block.q] + block.factors)
     )
@@ -538,8 +505,8 @@ def run_federated_fit(clients, cfg: FitConfig) -> BttrModel:
 
 
 def run_socket_client(host: str, port: int, x, y,
-                      round_timeout: float = DEFAULT_ROUND_TIMEOUT) -> ClientState:
-    """Connect to a hub and participate until the protocol completes."""
+                      round_timeout: float = DEFAULT_ROUND_TIMEOUT) -> ClientSession:
+    """Connect to a hub, participate until the protocol completes and return the session."""
     import socket as _socket
 
     sock = _socket.create_connection((host, port))
@@ -554,4 +521,4 @@ def run_socket_client(host: str, port: int, x, y,
                 channel.send(out)
     finally:
         channel.close()
-    return session.state
+    return session

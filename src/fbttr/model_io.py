@@ -19,11 +19,12 @@ Layout (all integers little-endian):
 
 Encoding of arrays, matrices, tensors and blocks follows :mod:`fbttr.binio`.
 A header without a feature mode or with an empty one, or normalization
-arrays that do not match the feature shape and response count, make a
-file invalid.  ``w`` and ``z`` are stored although
-:func:`fbttr.bttr.materialize_predictor` derives them from the blocks: on
-an 8-block rank-(10,10,10) model over 32x16x20 features, deriving them
-takes about 4 ms and parsing them about 0.6 ms.
+arrays or a block (see :meth:`fbttr.bttr.Block.fits`) that do not match
+the feature shape and response count, make a file invalid.  ``w`` and
+``z`` are stored although :func:`fbttr.bttr.materialize_predictor`
+derives them from the blocks: on an 8-block rank-(10,10,10) model over
+32x16x20 features, deriving them takes about 4 ms and parsing them about
+0.6 ms.
 Files of other versions, ``FBTTRv01`` included, are rejected.
 """
 
@@ -104,6 +105,9 @@ def model_from_bytes(data: bytes) -> BttrModel:
         raise ModelFormatError(f"{len(data) - r.pos} trailing bytes")
     if w.shape != (prod(input_shape), n_blocks) or z.shape != (n_blocks, n_responses):
         raise ModelFormatError(f"W {w.shape} or Z {z.shape} does not fit the header")
+    for k, b in enumerate(blocks, 1):
+        if not b.fits(input_shape, n_responses):
+            raise ModelFormatError(f"block {k} does not fit the header")
     return BttrModel(blocks=blocks, w=w, z=z, input_shape=input_shape,
                      normalization=normalization, trace=trace)
 

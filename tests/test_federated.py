@@ -10,7 +10,6 @@ from fbttr.bttr import Block, FitConfig, FitError, fit, predict
 from fbttr.data import make_synthetic
 from fbttr.federated import (
     ClientSession,
-    ClientState,
     aggregate_block,
     aggregation_weights,
     client_deflate,
@@ -208,12 +207,45 @@ def test_aggregate_orthonormalizes_averaged_factors():
 # client-side operations
 # ---------------------------------------------------------------------------
 
-def test_client_local_block_skips_below_epsilon():
-    state = ClientState(0, np.full((5, 3, 2), 1e-12), np.full((5, 1), 1e-12), 5)
-    cfg = FitConfig(max_blocks=1, epsilon=1e-6, grid=GRID)
-    upd = client_local_block(state, HyperAssign(10.0, 97.0, (1, 1)), cfg)
-    assert upd.skip is True
-    assert upd.n_samples == 5
+def hub_hello(cfg, cid=0) -> Message:
+    return Message(MessageKind.HELLO, 0, cid, Hello(config=cfg))
+
+
+ZERO_BLOCK = Block(
+    core=np.zeros((1, 1, 1)), score_core=np.zeros((1, 1, 1)),
+    factors=[np.eye(4)[:, :1], np.eye(3)[:, :1]], q=np.array([[1.0]]), d=0.0,
+)
+
+
+def test_client_session_skips_below_epsilon_after_round_1():
+    # round 1 always extracts (the minimum-one-block rule); below epsilon the
+    # session neither deflates nor extracts again, and reports a skip
+    rng = np.random.default_rng(8)
+    session = ClientSession(0, 1e-12 * rng.normal(size=(5, 4, 3)), 1e-12 * rng.normal(size=(5, 1)))
+    cfg = FitConfig(max_blocks=3, epsilon=1e-6, grid=GRID)
+    assert session.handle(hub_hello(cfg))[0].kind == MessageKind.ACE_REPORT
+    ack, report = session.handle(Message(MessageKind.GLOBAL_BLOCK, 1, 0, ZERO_BLOCK))
+    assert ack.payload.deflated is False
+    assert (ack.payload.e_norm, ack.payload.f_norm) == session.norms
+    assert report.round == 2 and report.payload.skip is True
+    [upd] = session.handle(Message(MessageKind.HYPER_ASSIGN, 2, 0, HyperAssign(10.0, 97.0, (1, 1))))
+    assert upd.kind == MessageKind.BLOCK_UPDATE
+    assert upd.payload.skip is True
+    assert upd.payload.n_samples == 5
+
+
+def test_hyper_assign_for_a_skipped_round_gets_a_skip_without_rerun(monkeypatch):
+    x, y = make_dataset(14)
+    reruns = []
+    monkeypatch.setattr(federated, "f_mpstd", lambda *a, **k: reruns.append(a))
+    session = ClientSession(0, x, y)
+    session.handle(hub_hello(FitConfig(max_blocks=2, epsilon=10.0 * frobenius_norm(y), grid=GRID)))
+    _, report = session.handle(Message(MessageKind.GLOBAL_BLOCK, 1, 0, ZERO_BLOCK))
+    assert report.payload.skip is True
+    [upd] = session.handle(Message(MessageKind.HYPER_ASSIGN, 2, 0, HyperAssign(10.0, 97.0, (1, 1))))
+    assert upd.kind == MessageKind.BLOCK_UPDATE
+    assert upd.payload.skip is True and upd.payload.n_samples == x.shape[0]
+    assert reruns == []
 
 
 def test_client_local_block_planted_rank1():
@@ -226,51 +258,49 @@ def test_client_local_block_planted_rank1():
     p3 /= np.linalg.norm(p3)
     x = 2.0 * outer(t0, p2, p3)
     y = (1.5 * t0).reshape(-1, 1)
-    state = ClientState(0, x, y, 40)
-    cfg = FitConfig(max_blocks=1, epsilon=1e-10, grid=GRID)
-    upd = client_local_block(state, HyperAssign(25.0, 100.0, (1, 1)), cfg)
+    # the client's own choice, (10, 97), differs from the assignment: a rerun
+    own = ace(x, y, HyperGrid(snr_values=(10.0,), tau_values=(97.0,)))
+    upd = client_local_block(x, y, own, HyperAssign(25.0, 100.0, (1, 1)), CFG.rank_cap)
     assert upd.skip is False
+    assert upd.n_samples == 40
     assert upd.block.d > 0
     # the score map applied to x reproduces a vector aligned with t0
     proj = multilinear_product(x, {n + 2: f.T for n, f in enumerate(upd.block.factors)})
     from fbttr.tensor import unfold, vec
     t = unfold(proj, 1) @ vec(upd.block.score_core)
     assert abs(np.corrcoef(t, t0)[0, 1]) > 0.99
+    # an assignment equal to the client's own choice returns its block
+    mine = HyperAssign(own.snr_star, own.tau_star, own.block.feature_ranks)
+    assert client_local_block(x, y, own, mine, CFG.rank_cap).block is own.block
 
 
 def test_client_local_block_infeasible_ranks():
     rng = np.random.default_rng(10)
     x = rng.normal(size=(20, 4, 3))
     y = rng.normal(size=(20, 1))
-    state = ClientState(0, x, y, 20)
-    cfg = FitConfig(max_blocks=1, epsilon=1e-10, grid=GRID)
+    own = ace(x, y, GRID)
     with pytest.raises(ProtocolError):
-        client_local_block(state, HyperAssign(10.0, 100.0, (9, 9)), cfg)
+        client_local_block(x, y, own, HyperAssign(10.0, 100.0, (9, 9)), CFG.rank_cap)
 
 
 def test_client_deflate_zero_core_leaves_residuals():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(15, 4, 3))
     y = rng.normal(size=(15, 1))
-    state = ClientState(0, x.copy(), y.copy(), 15)
-    gb = Block(
-        core=np.zeros((1, 1, 1)), score_core=np.zeros((1, 1, 1)),
-        factors=[np.eye(4)[:, :1], np.eye(3)[:, :1]], q=np.array([[1.0]]), d=0.0,
-    )
-    new_state, ack = client_deflate(state, gb)
+    e, f, ack = client_deflate(x.copy(), y.copy(), ZERO_BLOCK)
     assert ack.deflated is False
-    assert np.array_equal(new_state.e_residual, x)
-    assert np.array_equal(new_state.f_residual, y)
+    assert np.array_equal(e, x)
+    assert np.array_equal(f, y)
 
 
 def test_client_deflate_never_increases_f_norm():
-    rng = np.random.default_rng(12)
     x, y = make_dataset(13)
-    state = ClientState(0, x.copy(), y.copy(), x.shape[0])
-    cfg = FitConfig(max_blocks=1, epsilon=1e-10, grid=GRID)
-    upd = client_local_block(state, HyperAssign(25.0, 100.0, (2, 2)), cfg)
+    own = ace(x, y, GRID)
+    upd = client_local_block(x, y, own, HyperAssign(25.0, 100.0, (2, 2)), CFG.rank_cap)
     gb = aggregate_block([upd])
-    new_state, ack = client_deflate(state, gb)
+    e, f, ack = client_deflate(x.copy(), y.copy(), gb)
+    assert ack.deflated is True
+    assert (ack.e_norm, ack.f_norm) == (frobenius_norm(e), frobenius_norm(f))
     assert ack.f_norm <= frobenius_norm(y) + 1e-12
     assert ack.e_norm <= frobenius_norm(x) + 1e-12
 
@@ -433,7 +463,7 @@ def test_client_error_excluded_for_the_round():
         def handle(self, msg):
             if msg.kind == MessageKind.HYPER_ASSIGN:
                 from fbttr.wire import ErrorCode, Message, ProtocolErrorInfo
-                return [Message(MessageKind.ERROR, msg.round, self.state.client_id,
+                return [Message(MessageKind.ERROR, msg.round, self.client_id,
                                 ProtocolErrorInfo(int(ErrorCode.DECOMPOSITION_FAILED), "boom"))]
             return super().handle(msg)
 
@@ -446,6 +476,25 @@ def test_client_error_excluded_for_the_round():
     model = federated_fit_over(transport, CFG)
     # the healthy client carries every round; the failing one stays in the roster
     assert model.n_blocks >= 1
+    assert transport.client_ids() == [0, 1]
+
+
+def test_zero_sample_count_excluded_for_the_round():
+    class ZeroCountSession(ClientSession):
+        def handle(self, msg):
+            out = super().handle(msg)
+            for m in out:
+                if m.kind == MessageKind.BLOCK_UPDATE:
+                    m.payload.n_samples = 0
+            return out
+
+    clients = [make_dataset(54), make_dataset(55)]
+    sessions = {0: ClientSession(0, *clients[0]), 1: ZeroCountSession(1, *clients[1])}
+    transport = LoopbackTransport(sessions)
+    model = federated_fit_over(transport, CFG)
+    # a zero weight cannot enter the average; the healthy client carries every round
+    assert model.n_blocks >= 1
+    assert np.isfinite(predict(model, clients[0][0])).all()
     assert transport.client_ids() == [0, 1]
 
 
@@ -535,8 +584,8 @@ def test_client_session_neither_copies_nor_writes_its_data():
     clients = [make_dataset(69), make_dataset(70)]
     originals = [(x.tobytes(), y.tobytes()) for x, y in clients]
     session = ClientSession(0, *clients[0])
-    assert np.shares_memory(session.state.e_residual, clients[0][0])
-    assert np.shares_memory(session.state.f_residual, clients[0][1])
+    assert np.shares_memory(session.e, clients[0][0])
+    assert np.shares_memory(session.f, clients[0][1])
     model = run_federated_fit(clients, CFG)
     assert model.n_blocks == 2
     assert [(x.tobytes(), y.tobytes()) for x, y in clients] == originals

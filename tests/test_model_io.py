@@ -105,6 +105,20 @@ def test_predictor_must_fit_the_blocks(corrupt):
         model_from_bytes(model_to_bytes(corrupt(model)))
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda b: replace(b, factors=[np.vstack([f, f]) for f in b.factors]),
+    lambda b: replace(b, factors=b.factors[:1]),
+    lambda b: replace(b, q=np.vstack([b.q, b.q])),
+    lambda b: replace(b, core=np.concatenate([b.core, b.core], axis=1)),
+    lambda b: replace(b, score_core=b.score_core[..., None]),
+], ids=["doubled-factor-rows", "missing-factor", "two-row-q", "core-ranks", "score-core-order"])
+def test_blocks_must_fit_the_header(corrupt):
+    model, _ = fitted_model()
+    model.blocks[1] = corrupt(model.blocks[1])
+    with pytest.raises(ModelFormatError, match="block 2"):
+        model_from_bytes(model_to_bytes(model))
+
+
 def test_file_round_trip(tmp_path):
     model, x = fitted_model(with_norm=True)
     path = tmp_path / "model.fbttr"
