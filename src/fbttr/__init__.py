@@ -28,12 +28,8 @@ from .sparse_tucker import (
     HyperGrid,
     SparseTuckerResult,
     ace,
-    bic_score,
     f_mpstd,
     hooi_init,
-    lambda_from_snr,
-    prune,
-    soft_threshold,
 )
 from .tensor import cross_covariance, fold, frobenius_norm, kronecker, mode_n_product, multilinear_product, unfold
 

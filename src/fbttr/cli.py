@@ -22,6 +22,7 @@ from .experiment import (
     fit_config,
     load_dataset,
     parse_grid,
+    parse_shape,
     read_config_file,
     read_metrics_csv,
     run_experiment,
@@ -161,7 +162,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    shape = tuple(int(v) for v in args.shape.replace("x", ",").split(",") if v.strip())
+    shape = parse_shape(args.shape, "shape")
     ds, _ = make_synthetic(shape, n_blocks=args.blocks, noise_snr_db=args.snr_db,
                            seed=args.seed, n_responses=args.responses, task=args.task)
     out = Path(args.out)

@@ -36,6 +36,7 @@ __all__ = [
     "EvalReport",
     "load_dataset",
     "parse_grid",
+    "parse_shape",
     "training_view",
     "fit_config",
     "read_config_file",
@@ -64,6 +65,14 @@ def _parse_range(text: str, field_name: str) -> tuple:
         raise ConfigError(field_name, f"empty, descending or non-finite range {text!r}")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
     return tuple(start + i * step for i in range(count))
+
+
+def parse_shape(text: str, field_name: str) -> tuple:
+    """The integer extents of a shape written ``200x8x6`` or ``200,8,6``."""
+    try:
+        return tuple(int(v) for v in text.replace("x", ",").split(",") if v.strip())
+    except ValueError as e:
+        raise ConfigError(field_name, f"expected e.g. 200x8x6, got {text!r}") from e
 
 
 def _checked(key: str, settings, **values):
@@ -144,10 +153,7 @@ class ExperimentConfig:
                 except ValueError as e:
                     raise ConfigError(key, f"expected integers, got {raw!r}") from e
             elif key in ("synth_shape",):
-                try:
-                    kwargs[key] = tuple(int(v) for v in raw.replace("x", ",").split(",") if v.strip())
-                except ValueError as e:
-                    raise ConfigError(key, f"expected e.g. 200x8x6, got {raw!r}") from e
+                kwargs[key] = parse_shape(raw, key)
             elif isinstance(default, int) and not isinstance(default, bool):
                 try:
                     kwargs[key] = int(raw)

@@ -107,8 +107,8 @@ def truncate_to_ranks(res: SparseTuckerResult, target_ranks) -> SparseTuckerResu
     factors = []
     for n, (f, tgt) in enumerate(zip(res.factors, target_ranks)):
         cur = f.shape[1]
-        if tgt > cur:
-            raise ProtocolError(f"target rank {tgt} exceeds available {cur} in mode {n + 2}")
+        if not 1 <= tgt <= cur:
+            raise ProtocolError(f"target rank {tgt} outside 1..{cur} in mode {n + 2}")
         if tgt < cur:
             contrib = component_contributions(core, n + 2)
             keep = np.sort(np.argsort(-contrib, kind="stable")[:tgt])

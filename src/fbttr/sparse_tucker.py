@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .tensor import (
-    _check_mode,
     _mode_product,
     _unfold,
     as_matrix,
@@ -25,7 +24,6 @@ from .tensor import (
     cross_covariance,
     frobenius_norm,
     multilinear_product,
-    unfold,
     vec,
 )
 
@@ -42,13 +40,8 @@ __all__ = [
     "Block",
     "AceResult",
     "hooi_init",
-    "lambda_from_snr",
-    "soft_threshold",
-    "prune",
     "f_mpstd",
     "f_mpstd_cov",
-    "bic_score",
-    "component_contributions",
     "collapse_response_mode",
     "finalize_block",
     "coefficient",
@@ -226,22 +219,16 @@ def hooi_init(c, max_ranks) -> SparseTuckerResult:
     return SparseTuckerResult(core=core, q=mats[0], factors=mats[1:])
 
 
-def lambda_from_snr(c, core, target_snr: float) -> float:
+def lambda_from_snr(c_sq: float, core: np.ndarray, target_snr: float) -> float:
     """Soft-threshold level hitting a target reconstruction SNR, by bisection.
 
-    Assumes ``core`` is the orthogonal projection of ``c`` onto orthonormal
-    factors, so shrinking the core by lam changes the squared residual by
+    ``c_sq`` is ||c||^2 of a nonzero ``c`` (:attr:`GridSearch.c_sq`), and
+    ``core`` the orthogonal projection of ``c`` onto orthonormal factors, so
+    shrinking the core by lam changes the squared residual by
     sum(min(|g|, lam)^2).  Returns 0 when even the unshrunk core cannot
-    reach the target.
+    reach the target.  A grid-cell step: nothing is checked here.
     """
-    if not math.isfinite(target_snr) or target_snr <= 0:
-        raise ValueError(f"target SNR must be finite and positive, got {target_snr}")
-    c = as_tensor(c)
-    core = as_tensor(core)
     g = np.abs(core.ravel())
-    c_sq = float(np.dot(c.ravel(), c.ravel()))
-    if c_sq == 0.0:
-        raise ValueError("reference tensor is all zero")
     base = max(c_sq - float(np.dot(g, g)), 0.0)
 
     def snr_at(lam: float) -> float:
@@ -266,18 +253,13 @@ def lambda_from_snr(c, core, target_snr: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def soft_threshold(core, lam: float) -> np.ndarray:
-    """Elementwise shrinkage sgn(g) * max(|g| - lam, 0)."""
-    if lam < 0:
-        raise ValueError(f"shrinkage level must be >= 0, got {lam}")
-    core = as_tensor(core)
+def soft_threshold(core: np.ndarray, lam: float) -> np.ndarray:
+    """Elementwise shrinkage sgn(g) * max(|g| - lam, 0), for lam >= 0."""
     return np.sign(core) * np.maximum(np.abs(core) - lam, 0.0)
 
 
 def component_contributions(core: np.ndarray, mode: int) -> np.ndarray:
     """Per-component weight of ``mode`` in ``core``: absolute row sums of the mode unfolding."""
-    core = as_tensor(core)
-    _check_mode(core, mode)
     return _row_sums(np.abs(core), mode)
 
 
@@ -311,18 +293,15 @@ def prune(result: SparseTuckerResult, tau: float) -> SparseTuckerResult:
     At least the single highest-contribution component per mode is always
     retained, so the result never loses a mode entirely.
 
-    When every mode keeps every component, the result shares the input's
-    core, ``q`` and factors, in their C order; otherwise ``q`` and the
-    factors are fresh F-ordered copies.  Callers read them and never write
-    into them.
+    When every mode keeps every component, ``result`` itself is returned;
+    otherwise ``q`` and the factors are fresh F-ordered copies.  Callers
+    read them and never write into them.  ``tau`` lies in [0, 100].
     """
-    if not 0.0 <= tau <= 100.0:
-        raise ValueError(f"tau must lie in [0, 100], got {tau}")
-    core = as_tensor(result.core)
+    core = result.core
     magnitude = np.abs(core)
     keep_sets = [_retained_indices(magnitude, n + 1, tau) for n in range(core.ndim)]
     if all(keep.size == ext for keep, ext in zip(keep_sets, core.shape)):
-        return replace(result, core=core)
+        return result
     for n, keep in enumerate(keep_sets):
         core = np.take(core, keep, axis=n)
     q = result.q[:, keep_sets[0]]
@@ -342,9 +321,10 @@ def _refresh_key(result: SparseTuckerResult) -> tuple:
 
 
 class GridSearch:
-    """The context every grid cell runs in: ``c``, its HOOI start at ranks
-    capped at ``rank_cap`` per mode, and the factor refreshes of the current
-    and the previous SNR row.
+    """The context every grid cell runs in: the checked ``c`` and its
+    squared norm ``c_sq``, its HOOI start at ranks capped at ``rank_cap``
+    per mode, and the factor refreshes of the current and the previous SNR
+    row.  The search checks ``c`` once; its cells check nothing.
 
     One :func:`ace` call runs all its cells in one search; :func:`f_mpstd`
     runs its one cell in a search of its own.  A refresh depends only on
@@ -360,6 +340,7 @@ class GridSearch:
 
     def __init__(self, c, rank_cap: int):
         self.c = as_tensor(c)
+        self.c_sq = float(np.dot(self.c.ravel(), self.c.ravel()))
         self.init = hooi_init(self.c, [min(ext, rank_cap) for ext in self.c.shape])
         self.row, self.last_row = {}, {}
 
@@ -386,18 +367,19 @@ def f_mpstd_cov(search: GridSearch, snr: float, tau: float) -> SparseTuckerResul
     stabilises (relative change below :data:`SWEEP_TOL`) or
     :data:`MAX_SWEEPS` elapse.  A non-converged run returns the last
     iterate with ``converged=False``.  The cell never writes into the start
-    or a refresh it was handed.
+    or a refresh it was handed.  ``snr`` and ``tau`` are a validated pair,
+    as a :class:`HyperGrid` holds them.
     """
-    c, res = search.c, search.init
+    res = search.init
     prev_core = None
     for _ in range(MAX_SWEEPS):
-        lam = lambda_from_snr(c, res.core, snr)
+        lam = lambda_from_snr(search.c_sq, res.core, snr)
         sparse = replace(res, core=soft_threshold(res.core, lam))
         pruned = prune(sparse, tau)
         if prev_core is not None and prev_core.shape == pruned.core.shape:
             denom = frobenius_norm(prev_core)
             delta = frobenius_norm(pruned.core - prev_core)
-            if delta <= SWEEP_TOL * denom or (denom == 0.0 and delta == 0.0):
+            if delta <= SWEEP_TOL * denom:
                 return replace(pruned, converged=True)
         prev_core = pruned.core
         res = search.refresh(pruned)
@@ -406,7 +388,10 @@ def f_mpstd_cov(search: GridSearch, snr: float, tau: float) -> SparseTuckerResul
 
 def f_mpstd(x, y, snr: float, tau: float, rank_cap: int = DEFAULT_RANK_CAP) -> SparseTuckerResult:
     """Sparse Tucker decomposition of the cross-covariance of (x, y): one
-    :func:`f_mpstd_cov` cell in a :class:`GridSearch` of its own."""
+    :func:`f_mpstd_cov` cell in a :class:`GridSearch` of its own.  The
+    (SNR, tau) pair comes from outside any grid, so it is checked here by
+    the :class:`HyperGrid` rule."""
+    HyperGrid((snr,), (tau,))
     return f_mpstd_cov(GridSearch(cross_covariance(x, y), rank_cap), snr, tau)
 
 
@@ -415,9 +400,10 @@ def bic_score(c, result: SparseTuckerResult) -> float:
 
     The penalty weighs the count of nonzero core entries by log(s)/s where
     s is the total core entry count; the residual is floored at 1e-12 so a
-    perfect reconstruction stays finite.
+    perfect reconstruction stays finite.  ``c`` is the search's checked
+    tensor; the checked :meth:`SparseTuckerResult.reconstruct` rejects a
+    non-finite core.
     """
-    c = as_tensor(c)
     resid = frobenius_norm(c - result.reconstruct())
     s = result.core.size
     df = int(np.count_nonzero(result.core))
@@ -444,7 +430,7 @@ def finalize_block(x, core, factors):
     t is read off ``proj`` and block_core is ``proj x_1 t'``.
     """
     proj = multilinear_product(x, {n + 2: f.T for n, f in enumerate(factors)})
-    t_raw = unfold(proj, 1) @ vec(core)
+    t_raw = _unfold(proj, 1) @ vec(core)
     rho = float(np.linalg.norm(t_raw))
     if rho == 0.0 or not math.isfinite(rho):
         raise AceError("degenerate score direction (zero projection)")
@@ -472,7 +458,8 @@ def ace(x, y, grid: HyperGrid = None, rank_cap: int = DEFAULT_RANK_CAP) -> AceRe
     Every grid cell is one :func:`f_mpstd_cov` run in the same
     :class:`GridSearch`, so from the same HOOI start, and a factor refresh
     another cell of this or the previous SNR row already made is reused,
-    not recomputed.  Cells are scored by :func:`bic_score`, and the winner
+    not recomputed.  Cells are scored by :func:`bic_score`; a cell that
+    raises ``ValueError`` in its sweeps or its score is skipped.  The winner
     is the first cell of minimal BIC in row-major order (SNR outer, tau
     inner), so a tie goes to the smaller SNR, then the smaller tau.  The
     winning decomposition becomes the result's block through
@@ -492,9 +479,9 @@ def ace(x, y, grid: HyperGrid = None, rank_cap: int = DEFAULT_RANK_CAP) -> AceRe
         for tau in grid.tau_values:
             try:
                 res = f_mpstd_cov(search, snr, tau)
+                b = bic_score(search.c, res)
             except ValueError:
                 continue
-            b = bic_score(search.c, res)
             if best is None or b < best[0]:
                 best = (b, snr, tau, res)
     # free the cache before finalize_block's sample-sized projection, so it

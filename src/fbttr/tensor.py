@@ -107,7 +107,7 @@ def vec(t) -> np.ndarray:
     t = as_tensor(t)
     if t.shape[0] != 1:
         raise ValueError(f"vec expects mode-1 extent 1, got shape {t.shape}")
-    return unfold(t, 1).ravel()
+    return _unfold(t, 1).ravel()
 
 
 def _checked_factor(t: np.ndarray, m, mode: int) -> np.ndarray:

@@ -36,6 +36,14 @@ def test_synth_higher_order_npz_only(tmp_path):
     assert not out.with_suffix(".csv").exists()
 
 
+def test_synth_bad_shape_is_a_config_error(tmp_path, capsys):
+    assert run_cli("synth", "--out", str(tmp_path / "d.npz"), "--shape", "20xfoo") == EXIT_CONFIG
+    assert "'shape'" in capsys.readouterr().err
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"synth_shape=20xfoo\nseeds=1\nout={tmp_path / 'out'}\n", encoding="utf-8")
+    assert run_cli("experiment", "--config", str(cfg)) == EXIT_CONFIG
+
+
 def test_nan_noise_snr_is_a_data_error(tmp_path):
     # make_synthetic rejects NaN itself: experiment once turned it into noiseless data
     assert run_cli("synth", "--out", str(tmp_path / "d.npz"), "--shape", "20x4x3",

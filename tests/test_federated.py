@@ -34,6 +34,7 @@ from fbttr.wire import (
     AceReport,
     BlockUpdate,
     DeflateAck,
+    ErrorCode,
     Hello,
     HyperAssign,
     Message,
@@ -137,6 +138,9 @@ def test_truncate_keeps_top_contribution_components():
     assert np.allclose(out.core[0, 1, :], [3.0, 2.0])
     with pytest.raises(ProtocolError):
         truncate_to_ranks(res, (4, 2))
+    for target in ((0, 2), (2, 0)):
+        with pytest.raises(ProtocolError, match="target rank 0"):
+            truncate_to_ranks(res, target)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +250,20 @@ def test_hyper_assign_for_a_skipped_round_gets_a_skip_without_rerun(monkeypatch)
     assert upd.kind == MessageKind.BLOCK_UPDATE
     assert upd.payload.skip is True and upd.payload.n_samples == x.shape[0]
     assert reruns == []
+
+
+@pytest.mark.parametrize("assignment", [
+    HyperAssign(float("nan"), 97.0, (1, 1)), HyperAssign(0.0, 97.0, (1, 1)),
+    HyperAssign(-1.0, 97.0, (1, 1)), HyperAssign(10.0, -0.5, (1, 1)),
+    HyperAssign(10.0, 100.5, (1, 1)), HyperAssign(15.0, 100.0, (0, 0)),
+])
+def test_hyper_assign_out_of_range_gets_an_error(assignment):
+    x, y = make_dataset(15)
+    session = ClientSession(0, x, y)
+    assert session.handle(hub_hello(CFG))[0].payload.skip is False
+    [reply] = session.handle(Message(MessageKind.HYPER_ASSIGN, 1, 0, assignment))
+    assert reply.kind == MessageKind.ERROR
+    assert reply.payload.code == ErrorCode.DECOMPOSITION_FAILED
 
 
 def test_client_local_block_planted_rank1():

@@ -1,8 +1,12 @@
-"""The package depends on numpy and the standard library only."""
+"""The package depends on numpy and the standard library only, and its exports are live."""
 
 import ast
+import importlib
+import inspect
 import sys
 from pathlib import Path
+
+import fbttr
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fbttr"
 
@@ -28,3 +32,15 @@ def test_src_imports_only_numpy_and_the_standard_library():
     ]
     assert foreign == []
 
+
+def test_every_export_resolves_and_root_names_are_exported_where_defined():
+    modules = [importlib.import_module(f"fbttr.{path.stem}") for path in sorted(SRC.glob("*.py"))
+               if path.stem != "__init__"]
+    stale = [f"{m.__name__}.{name}" for m in modules for name in m.__all__ if not hasattr(m, name)]
+    assert stale == []
+    public = {name: obj for name, obj in vars(fbttr).items()
+              if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert public
+    unlisted = [f"{name} (from {obj.__module__})" for name, obj in public.items()
+                if name not in sys.modules[obj.__module__].__all__]
+    assert unlisted == []

@@ -151,11 +151,16 @@ def snr_scan_oracle(c, result, lam):
     return 10.0 * math.log10((frobenius_norm(c) / resid) ** 2)
 
 
+def norm_sq(c):
+    """||c||^2 as :attr:`GridSearch.c_sq` holds it."""
+    return float(np.dot(c.ravel(), c.ravel()))
+
+
 def test_lambda_huge_target_returns_zero():
     rng = np.random.default_rng(3)
     c = rng.normal(size=(2, 4, 3))
     res = hooi_init(c, (1, 2, 2))
-    assert lambda_from_snr(c, res.core, 300.0) == 0.0
+    assert lambda_from_snr(norm_sq(c), res.core, 300.0) == 0.0
 
 
 def test_lambda_bisection_matches_direct_scan():
@@ -163,12 +168,12 @@ def test_lambda_bisection_matches_direct_scan():
     c = rng.normal(size=(2, 6, 5))
     res = hooi_init(c, (2, 4, 4))
     target = 3.0
-    lam = lambda_from_snr(c, res.core, target)
+    lam = lambda_from_snr(norm_sq(c), res.core, target)
     assert 0.0 < lam < np.abs(res.core).max()
     # the shortcut must agree with the direct reconstruction oracle
     assert abs(snr_scan_oracle(c, res, lam) - target) <= 0.1
     # monotone: a larger target needs less shrinkage
-    lam_high = lambda_from_snr(c, res.core, 6.0)
+    lam_high = lambda_from_snr(norm_sq(c), res.core, 6.0)
     assert lam_high < lam
 
 
@@ -177,15 +182,12 @@ def test_lambda_target_met_at_zero():
     c = rng.normal(size=(2, 4, 3))
     res = hooi_init(c, (1, 1, 1))
     achievable = snr_scan_oracle(c, res, 0.0)
-    assert lambda_from_snr(c, res.core, achievable + 1.0) == 0.0
+    assert lambda_from_snr(norm_sq(c), res.core, achievable + 1.0) == 0.0
 
 
-def test_lambda_rejects_bad_target():
-    c = np.ones((2, 2))
-    with pytest.raises(ValueError):
-        lambda_from_snr(c, c, math.nan)
-    with pytest.raises(ValueError):
-        lambda_from_snr(c, c, -1.0)
+def test_grid_search_holds_c_squared_norm():
+    c = np.random.default_rng(2).normal(size=(2, 4, 3))
+    assert st.GridSearch(c, 10).c_sq == norm_sq(c)
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +199,6 @@ def test_soft_threshold_formula():
     assert np.array_equal(soft_threshold(core, 0.0), core)
     assert np.array_equal(soft_threshold(core, 2.0), np.array([1.0, 0.0, 0.0]))
     assert np.array_equal(soft_threshold(core, 5.0), np.zeros(3))
-    with pytest.raises(ValueError):
-        soft_threshold(core, -0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +253,6 @@ def test_prune_never_increases_ranks_randomized():
         pruned = prune(res, tau)
         assert all(a <= b for a, b in zip(pruned.ranks, res.ranks))
         assert all(r >= 1 for r in pruned.ranks)
-
-
-def test_prune_tau_out_of_range():
-    res = result_with_core(np.ones((1, 2, 2)))
-    with pytest.raises(ValueError):
-        prune(res, 101.0)
 
 
 def prune_reference(result, tau):
@@ -392,6 +386,17 @@ def test_fmpstd_non_convergence_flag(monkeypatch):
 def test_fmpstd_dimension_error_propagates():
     with pytest.raises(ValueError):
         f_mpstd(np.zeros((4, 3)), np.zeros((5, 1)), snr=10.0, tau=95.0)
+
+
+@pytest.mark.parametrize("snr, tau", [(math.nan, 95.0), (0.0, 95.0), (-1.0, 95.0),
+                                      (10.0, -0.5), (10.0, 100.5), (10.0, math.nan)])
+def test_fmpstd_rejects_bad_snr_or_tau(snr, tau):
+    # f_mpstd takes (SNR, tau) from outside a grid: a federated client's assignment
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(20, 4, 3))
+    y = rng.normal(size=(20, 1))
+    with pytest.raises(ValueError):
+        f_mpstd(x, y, snr=snr, tau=tau)
 
 
 # ---------------------------------------------------------------------------
@@ -687,6 +692,32 @@ def test_grid_search_refresh_that_lowers_a_rank():
     assert search.refresh(res) is got
     search.start_row()
     assert search.refresh(res) is got
+
+
+def test_ace_skips_a_cell_whose_core_turns_non_finite(monkeypatch):
+    # the cell steps check nothing; a cell whose core goes NaN is still a
+    # failed cell, skipped like one, and another cell wins
+    x, y = planted_or_noise("planted")
+    clean = ace(x, y, CACHE_GRID)
+    poisoned, cell = (clean.snr_star, clean.tau_star), [None]
+    real_cell, real_shrink = st.f_mpstd_cov, st.soft_threshold
+
+    def tracking(search, snr, tau):
+        cell[0] = (snr, tau)
+        return real_cell(search, snr, tau)
+
+    def shrink(core, lam):
+        out = real_shrink(core, lam)
+        return np.full_like(out, math.nan) if cell[0] == poisoned else out
+
+    monkeypatch.setattr(st, "f_mpstd_cov", tracking)
+    monkeypatch.setattr(st, "soft_threshold", shrink)
+    got = ace(x, y, CACHE_GRID)
+    assert (got.snr_star, got.tau_star) != poisoned
+    assert math.isfinite(got.bic)
+    block = got.block
+    for m in [block.core, block.score_core, block.q, got.t] + block.factors:
+        assert np.isfinite(m).all()
 
 
 def test_hypergrid_validation():
