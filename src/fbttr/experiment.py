@@ -68,11 +68,14 @@ def _parse_range(text: str, field_name: str) -> tuple:
 
 
 def parse_shape(text: str, field_name: str) -> tuple:
-    """The integer extents of a shape written ``200x8x6`` or ``200,8,6``."""
+    """The extents of a shape written ``200x8x6`` or ``200,8,6``: two or more integers >= 1."""
     try:
-        return tuple(int(v) for v in text.replace("x", ",").split(",") if v.strip())
+        shape = tuple(int(v) for v in text.replace("x", ",").split(","))
     except ValueError as e:
         raise ConfigError(field_name, f"expected e.g. 200x8x6, got {text!r}") from e
+    if len(shape) < 2 or min(shape) < 1:
+        raise ConfigError(field_name, f"need a sample extent and a feature extent, each >= 1, got {text!r}")
+    return shape
 
 
 def _checked(key: str, settings, **values):

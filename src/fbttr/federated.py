@@ -262,6 +262,8 @@ class ClientSession:
     and from each :class:`DeflateAck`.  The stop rule is decided once per
     round, when the client reports: ``_round`` is (round, AceResult or None
     for a skip), which a retry reports again and a HYPER_ASSIGN builds on.
+    A GLOBAL_BLOCK that does not fit the client's shapes, is not finite or
+    exceeds the rank cap raises :class:`ProtocolError` before any deflation.
     """
 
     def __init__(self, client_id: int, x, y):
@@ -321,10 +323,14 @@ class ClientSession:
                 return [self._msg(MessageKind.ERROR, msg.round, info)]
             return [self._msg(MessageKind.BLOCK_UPDATE, msg.round, update)]
         if msg.kind == MessageKind.GLOBAL_BLOCK:
+            gb = msg.payload
+            if not (gb.fits(self.e.shape[1:], self.f.shape[1]) and gb.is_finite()
+                    and all(r <= self.cfg.rank_cap for r in gb.feature_ranks)):
+                raise ProtocolError(f"round {msg.round} global block does not fit this client")
             if self.cfg.stops(*self.norms):
                 ack = DeflateAck(*self.norms, deflated=False)
             else:
-                self.e, self.f, ack = client_deflate(self.e, self.f, msg.payload)
+                self.e, self.f, ack = client_deflate(self.e, self.f, gb)
                 self.norms = (ack.e_norm, ack.f_norm)
                 self.blocks_deflated += ack.deflated
             out = [self._msg(MessageKind.DEFLATE_ACK, msg.round, ack)]
@@ -403,11 +409,25 @@ def _handshake(transport, cfg: FitConfig) -> tuple:
     return feature_shape, n_responses
 
 
-def _collect_reports(transport, live, rnd: int) -> dict:
+def _sound(report: AceReport, feature_shape, cfg: FitConfig) -> bool:
+    """Whether a non-skip ``report`` names one rank per feature mode, each in
+    ``1..min(extent, rank_cap)``, an (SNR, tau) of the grid and a finite BIC."""
+    return (
+        len(report.ranks) == len(feature_shape)
+        and all(1 <= r <= min(ext, cfg.rank_cap) for r, ext in zip(report.ranks, feature_shape))
+        and report.snr in cfg.grid.snr_values
+        and report.tau in cfg.grid.tau_values
+        and math.isfinite(report.bic)
+    )
+
+
+def _collect_reports(transport, live, rnd: int, feature_shape, cfg: FitConfig) -> dict:
+    """Every live client's report; an ERROR reply or an unsound report counts as a skip."""
     reports = {}
     for cid in live:
         msg = _recv_expect(transport, cid, {MessageKind.ACE_REPORT}, rnd)
-        reports[cid] = AceReport(skip=True) if msg.kind == MessageKind.ERROR else msg.payload
+        report = msg.payload if msg.kind == MessageKind.ACE_REPORT else AceReport(skip=True)
+        reports[cid] = report if report.skip or _sound(report, feature_shape, cfg) else AceReport(skip=True)
     return reports
 
 
@@ -419,18 +439,18 @@ def _aggregable(msg: Message, feature_shape, n_responses: int, target_ranks) -> 
         msg.payload.n_samples >= 1
         and block.fits(feature_shape, n_responses)
         and block.feature_ranks == tuple(target_ranks)
-        and math.isfinite(block.d)
-        and all(np.isfinite(a).all() for a in [block.core, block.score_core, block.q] + block.factors)
+        and block.is_finite()
     )
 
 
-def _run_round(transport, live, rnd: int, feature_shape, n_responses: int):
+def _run_round(transport, live, rnd: int, feature_shape, n_responses: int, cfg: FitConfig):
     """One full round; returns the aggregated block or None when no client sent one.
 
-    A client that replies with an ERROR, a skip, a block of other shapes or
-    a block holding NaN or inf is excluded from this round's aggregation.
+    A client that replies with an ERROR, a skip or an unsound report, a
+    block of other shapes or a block holding NaN or inf is excluded from
+    this round's aggregation.
     """
-    reports = _collect_reports(transport, live, rnd)
+    reports = _collect_reports(transport, live, rnd, feature_shape, cfg)
     active = {cid: r for cid, r in reports.items() if not r.skip}
     if not active:
         return None
@@ -457,7 +477,7 @@ def federated_fit_over(transport, cfg: FitConfig) -> BttrModel:
         retried = False
         while True:
             try:
-                gb = _run_round(transport, _roster(transport), rnd, feature_shape, n_responses)
+                gb = _run_round(transport, _roster(transport), rnd, feature_shape, n_responses, cfg)
                 break
             except ClientDropout as drop:
                 if retried:

@@ -135,6 +135,11 @@ class Block:
             and self.q.shape == (n_responses, 1)
         )
 
+    def is_finite(self) -> bool:
+        """Whether ``d`` and every array of the block hold no NaN or inf."""
+        arrays = [self.core, self.score_core, self.q] + self.factors
+        return math.isfinite(self.d) and all(np.isfinite(a).all() for a in arrays)
+
 
 @dataclass
 class AceResult:
@@ -219,16 +224,16 @@ def hooi_init(c, max_ranks) -> SparseTuckerResult:
     return SparseTuckerResult(core=core, q=mats[0], factors=mats[1:])
 
 
-def lambda_from_snr(c_sq: float, core: np.ndarray, target_snr: float) -> float:
+def lambda_from_snr(c_sq: float, magnitude: np.ndarray, target_snr: float) -> float:
     """Soft-threshold level hitting a target reconstruction SNR, by bisection.
 
     ``c_sq`` is ||c||^2 of a nonzero ``c`` (:attr:`GridSearch.c_sq`), and
-    ``core`` the orthogonal projection of ``c`` onto orthonormal factors, so
-    shrinking the core by lam changes the squared residual by
-    sum(min(|g|, lam)^2).  Returns 0 when even the unshrunk core cannot
-    reach the target.  A grid-cell step: nothing is checked here.
+    ``magnitude`` is |core| of the orthogonal projection of ``c`` onto
+    orthonormal factors, so shrinking the core by lam changes the squared
+    residual by sum(min(|g|, lam)^2).  Returns 0 when even the unshrunk core
+    cannot reach the target.  A grid-cell step: nothing is checked here.
     """
-    g = np.abs(core.ravel())
+    g = magnitude.ravel()
     base = max(c_sq - float(np.dot(g, g)), 0.0)
 
     def snr_at(lam: float) -> float:
@@ -253,9 +258,12 @@ def lambda_from_snr(c_sq: float, core: np.ndarray, target_snr: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def soft_threshold(core: np.ndarray, lam: float) -> np.ndarray:
-    """Elementwise shrinkage sgn(g) * max(|g| - lam, 0), for lam >= 0."""
-    return np.sign(core) * np.maximum(np.abs(core) - lam, 0.0)
+def soft_threshold(core: np.ndarray, magnitude: np.ndarray, lam: float) -> tuple:
+    """Elementwise shrinkage sgn(g) * max(|g| - lam, 0), for lam >= 0, of a ``core``
+    whose |core| is ``magnitude``, and its magnitude, which equals ``np.abs`` of
+    it to the bit: the sign is +-1 or 0, and a shrunk zero is +0.0."""
+    shrunk = np.maximum(magnitude - lam, 0.0)
+    return np.sign(core) * shrunk, shrunk
 
 
 def component_contributions(core: np.ndarray, mode: int) -> np.ndarray:
@@ -286,38 +294,23 @@ def _retained_indices(magnitude: np.ndarray, mode: int, tau: float) -> np.ndarra
     return keep
 
 
-def prune(result: SparseTuckerResult, tau: float) -> SparseTuckerResult:
+def prune(core: np.ndarray, mats: list, magnitude: np.ndarray, tau: float) -> tuple:
     """Drop components contributing no more than (100 - tau)% of mode energy.
 
-    Contributions are absolute row sums of each mode unfolding of the core.
-    At least the single highest-contribution component per mode is always
-    retained, so the result never loses a mode entirely.
+    Contributions are absolute row sums of each mode unfolding of the core,
+    whose |core| is ``magnitude``.  At least the single highest-contribution
+    component per mode is always retained, so no mode is lost entirely.
 
-    When every mode keeps every component, ``result`` itself is returned;
-    otherwise ``q`` and the factors are fresh F-ordered copies.  Callers
-    read them and never write into them.  ``tau`` lies in [0, 100].
+    Returns (core, mats), ``mats`` being the mode matrices, mode 1 first: the
+    inputs themselves when every mode keeps every component, otherwise fresh
+    F-ordered copies.  Callers read them and never write into them.
     """
-    core = result.core
-    magnitude = np.abs(core)
     keep_sets = [_retained_indices(magnitude, n + 1, tau) for n in range(core.ndim)]
     if all(keep.size == ext for keep, ext in zip(keep_sets, core.shape)):
-        return result
+        return core, mats
     for n, keep in enumerate(keep_sets):
         core = np.take(core, keep, axis=n)
-    q = result.q[:, keep_sets[0]]
-    factors = [f[:, keep_sets[n + 1]] for n, f in enumerate(result.factors)]
-    return replace(result, core=np.ascontiguousarray(core), q=q, factors=factors)
-
-
-def _hooi_refresh(c: np.ndarray, result: SparseTuckerResult) -> SparseTuckerResult:
-    # one alternating pass at the current (possibly pruned) ranks
-    mats, core = _hooi_sweep(c, [result.q] + list(result.factors), result.ranks)
-    return replace(result, core=core, q=mats[0], factors=mats[1:])
-
-
-def _refresh_key(result: SparseTuckerResult) -> tuple:
-    # with c fixed, the ranks fix the shape of q and of every factor
-    return result.ranks, b"".join(m.tobytes() for m in [result.q] + list(result.factors))
+    return np.ascontiguousarray(core), [m[:, keep] for m, keep in zip(mats, keep_sets)]
 
 
 class GridSearch:
@@ -328,14 +321,14 @@ class GridSearch:
 
     One :func:`ace` call runs all its cells in one search; :func:`f_mpstd`
     runs its one cell in a search of its own.  A refresh depends only on
-    ``c`` and the incoming ``q`` and factors, so a cell whose trajectory
-    reaches factors an earlier cell refreshed reuses that result, keyed on
-    their exact shapes and bytes: the result is bit-identical to
-    recomputing it.  An entry is the :class:`SparseTuckerResult` the
-    refresh returned, and a hit hands back that same object, whose ranks
-    are its own even when the refresh lowered one; callers read it and
-    never write into it.  A hit moves the entry into the current row;
-    :meth:`start_row` drops what the row before last left.
+    ``c`` and the incoming mode matrices, so a cell whose trajectory reaches
+    matrices an earlier cell refreshed reuses that result, keyed on their
+    exact shapes and bytes: the result is bit-identical to recomputing it.
+    An entry is the (matrices, core) pair the refresh returned, and a hit
+    hands back that same pair, whose ranks are its own even when the
+    refresh lowered one; callers read it and never write into it.  A hit
+    moves the entry into the current row; :meth:`start_row` drops what the
+    row before last left.
     """
 
     def __init__(self, c, rank_cap: int):
@@ -347,13 +340,17 @@ class GridSearch:
     def start_row(self) -> None:
         self.row, self.last_row = {}, self.row
 
-    def refresh(self, result: SparseTuckerResult) -> SparseTuckerResult:
-        key = _refresh_key(result)
+    def refresh(self, mats: list) -> tuple:
+        # from a list: tuple(generator) over-allocates, then shrinks, and a dropped
+        # search's keys would fill CPython's small-tuple free list (~140 KB, for good)
+        ranks = tuple([m.shape[1] for m in mats])
+        # with c fixed, the ranks fix the shape of every matrix
+        key = ranks, b"".join(m.tobytes() for m in mats)
         fresh = self.row.get(key)
         if fresh is None:
             fresh = self.last_row.pop(key, None)
         if fresh is None:
-            fresh = _hooi_refresh(self.c, result)
+            fresh = _hooi_sweep(self.c, mats, ranks)
         self.row[key] = fresh
         return fresh
 
@@ -365,25 +362,25 @@ def f_mpstd_cov(search: GridSearch, snr: float, tau: float) -> SparseTuckerResul
     thresholding of the core with tau pruning and an orthogonal factor
     refresh, taken from ``search.refresh``, until the sparse core
     stabilises (relative change below :data:`SWEEP_TOL`) or
-    :data:`MAX_SWEEPS` elapse.  A non-converged run returns the last
-    iterate with ``converged=False``.  The cell never writes into the start
-    or a refresh it was handed.  ``snr`` and ``tau`` are a validated pair,
-    as a :class:`HyperGrid` holds them.
+    :data:`MAX_SWEEPS` prunes elapse, the last with ``converged=False``.  A
+    sweep carries the core and the mode matrices as arrays and takes |core|
+    once; it never writes into the start or a refresh it was handed.
+    ``snr`` and ``tau`` are a validated pair, as a :class:`HyperGrid` holds them.
     """
-    res = search.init
+    core, mats = search.init.core, [search.init.q] + search.init.factors
     prev_core = None
-    for _ in range(MAX_SWEEPS):
-        lam = lambda_from_snr(search.c_sq, res.core, snr)
-        sparse = replace(res, core=soft_threshold(res.core, lam))
-        pruned = prune(sparse, tau)
-        if prev_core is not None and prev_core.shape == pruned.core.shape:
-            denom = frobenius_norm(prev_core)
-            delta = frobenius_norm(pruned.core - prev_core)
-            if delta <= SWEEP_TOL * denom:
-                return replace(pruned, converged=True)
-        prev_core = pruned.core
-        res = search.refresh(pruned)
-    return replace(pruned, converged=False)
+    for sweep in range(1, MAX_SWEEPS + 1):
+        magnitude = np.abs(core)
+        lam = lambda_from_snr(search.c_sq, magnitude, snr)
+        core, magnitude = soft_threshold(core, magnitude, lam)
+        core, mats = prune(core, mats, magnitude, tau)
+        converged = prev_core is not None and prev_core.shape == core.shape and (
+            frobenius_norm(core - prev_core) <= SWEEP_TOL * frobenius_norm(prev_core)
+        )
+        if converged or sweep == MAX_SWEEPS:
+            return SparseTuckerResult(core, mats[0], mats[1:], converged)
+        prev_core = core
+        mats, core = search.refresh(mats)
 
 
 def f_mpstd(x, y, snr: float, tau: float, rank_cap: int = DEFAULT_RANK_CAP) -> SparseTuckerResult:

@@ -1,0 +1,134 @@
+"""Write the golden model fixtures that ``tests/test_golden.py`` checks.
+
+Run from the repository root to regenerate them in place:
+
+    PYTHONPATH=src python tests/golden/make_golden.py
+
+or pass a directory to write them elsewhere.  The fixtures are built in a
+subprocess whose BLAS libraries are pinned to one thread before numpy loads,
+because the thread count alone changes the last bits of a centralized
+model's residual trace.  Written files:
+
+- ``centralized.fbttr``: the model bytes of a small centralized fit;
+- ``federation.fbttr``: the model bytes of a 3-client loopback federation
+  whose harmonised target ranks are lowered by one, so every client reruns
+  its block at the assignment;
+- ``golden.json``: the SHA-256 of both models, a SHA-256 over every frame the
+  federation sent, and the numpy and BLAS fingerprint they were made on.
+
+``max_blocks`` equals the planted block count in both cases, so no noise
+block's near-tied (SNR, tau) choice can depend on the BLAS build.  A change
+that alters model bytes on purpose regenerates the fixtures and says why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+SRC = HERE.parent.parent / "src"
+PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def fingerprint() -> dict:
+    """The numpy version, BLAS build and CPU features a model's bytes can depend on."""
+    import numpy as np
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy < 1.25 prints its config only
+        blas = "unknown"
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        from numpy.core._multiarray_umath import __cpu_features__
+    return {
+        "numpy": np.__version__,
+        "blas": blas,
+        "machine": platform.machine(),
+        "cpu_features": sorted(k for k, on in __cpu_features__.items() if on),
+    }
+
+
+def centralized():
+    """(model, None): a 4-way fit of two planted blocks."""
+    from fbttr import FitConfig, fit, make_synthetic
+
+    ds, _ = make_synthetic((60, 6, 5, 4), n_blocks=2, ranks=(2, 2, 2), noise_snr_db=10.0, seed=11)
+    return fit(ds.x, ds.y, FitConfig(max_blocks=2)), None
+
+
+def federation():
+    """(model, frames): three IID clients over loopback, every client rerunning."""
+    from fbttr import FitConfig, PartitionPlan, federated, make_synthetic, partition
+    from fbttr.transport import LoopbackTransport
+
+    harmonize = federated.harmonize_ranks
+
+    def lower_target(reports):
+        target, assignments = harmonize(reports)
+        target = tuple(max(1, r - 1) for r in target)
+        for a in assignments.values():
+            a.target_ranks = target
+        return target, assignments
+
+    ds, _ = make_synthetic((90, 8, 6), n_blocks=2, ranks=(2, 2), noise_snr_db=10.0, seed=12)
+    parts = partition(ds, PartitionPlan("iid", 3, 12))
+    sessions = {cid: federated.ClientSession(cid, p.x, p.y) for cid, p in enumerate(parts)}
+    hub = LoopbackTransport(sessions)
+    federated.harmonize_ranks = lower_target
+    try:
+        model = federated.federated_fit_over(hub, FitConfig(max_blocks=2))
+    finally:
+        federated.harmonize_ranks = harmonize
+    return model, hub.frames
+
+
+CASES = {"centralized": centralized, "federation": federation}
+
+
+def frames_sha256(frames) -> str:
+    h = hashlib.sha256()
+    for direction, cid, frame in frames:
+        h.update(f"{direction} {cid} {len(frame)}\n".encode())
+        h.update(frame)
+    return h.hexdigest()
+
+
+def _build(out: Path) -> None:
+    # runs in the pinned subprocess
+    from fbttr import model_to_bytes
+
+    record = {"fingerprint": fingerprint(), "model_sha256": {}}
+    for name, build in CASES.items():
+        model, frames = build()
+        blob = model_to_bytes(model)
+        (out / f"{name}.fbttr").write_bytes(blob)
+        record["model_sha256"][name] = hashlib.sha256(blob).hexdigest()
+        if frames is not None:
+            record["frames_sha256"] = frames_sha256(frames)
+    (out / "golden.json").write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+
+
+def write_fixtures(out) -> None:
+    """Build every fixture into ``out`` in a subprocess pinned to one BLAS thread."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ, **PINNED)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, str(Path(__file__).resolve()), "--build", str(out)],
+                   env=env, check=True, timeout=300)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--build"]:
+        _build(Path(sys.argv[2]))
+    else:
+        write_fixtures(sys.argv[1] if len(sys.argv) > 1 else HERE)

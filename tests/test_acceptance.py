@@ -168,8 +168,8 @@ def test_criterion_5_ace_fmpstd_properties():
             c = rng.normal(size=(2, 5, 4))
             res = hooi_init(c, (2, 4, 4))
             tau = float(rng.uniform(0, 100))
-            pruned = prune(res, tau)
-            assert all(a <= b for a, b in zip(pruned.ranks, res.ranks))
+            pruned, _ = prune(res.core, [res.q] + res.factors, np.abs(res.core), tau)
+            assert all(a <= b for a, b in zip(pruned.shape, res.ranks))
         # tau = 100 keeps every admissible component on unstructured data
         x = rng.normal(size=(40, 5, 4))
         y = rng.normal(size=(40, 1))

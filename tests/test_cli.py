@@ -2,13 +2,16 @@ import csv
 import socket
 import threading
 
+import numpy as np
 import pytest
 
-from fbttr.bttr import FitConfig, fit
+from fbttr.bttr import Block, FitConfig, fit
 from fbttr.cli import EXIT_CONFIG, EXIT_DATA, main
 from fbttr.data import load_npz
 from fbttr.experiment import fit_config, parse_grid, training_view
 from fbttr.model_io import load_model, model_to_bytes
+from fbttr.transport import SocketChannel
+from fbttr.wire import Hello, Message, MessageKind
 
 
 def run_cli(*argv):
@@ -37,11 +40,13 @@ def test_synth_higher_order_npz_only(tmp_path):
 
 
 def test_synth_bad_shape_is_a_config_error(tmp_path, capsys):
-    assert run_cli("synth", "--out", str(tmp_path / "d.npz"), "--shape", "20xfoo") == EXIT_CONFIG
-    assert "'shape'" in capsys.readouterr().err
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(f"synth_shape=20xfoo\nseeds=1\nout={tmp_path / 'out'}\n", encoding="utf-8")
-    assert run_cli("experiment", "--config", str(cfg)) == EXIT_CONFIG
+    for shape in ("20xfoo", "20x0", "20x-3", "x", "20xx6", "20"):
+        assert run_cli("synth", "--out", str(tmp_path / "d.npz"), "--shape", shape) == EXIT_CONFIG, shape
+        assert "'shape'" in capsys.readouterr().err
+        assert not (tmp_path / "d.npz").exists()
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"synth_shape={shape}\nseeds=1\nout={tmp_path / 'out'}\n", encoding="utf-8")
+        assert run_cli("experiment", "--config", str(cfg)) == EXIT_CONFIG, shape
 
 
 def test_nan_noise_snr_is_a_data_error(tmp_path):
@@ -94,6 +99,51 @@ def test_fit_writes_the_model_of_the_shared_preparation(tmp_path, cv):
                      folds=3 if cv else None, x=x, y=y, task=ds.task)
     expected = model_to_bytes(fit(x, y, cfg, normalization=stats))
     assert (out / "model.fbttr").read_bytes() == expected
+
+
+def _hub_sending(block, cfg, listener):
+    """A one-client hub that greets, takes the round-1 report, then sends ``block``."""
+    conn, _ = listener.accept()
+    channel = SocketChannel(conn)
+    try:
+        channel.recv(timeout=30)  # HELLO
+        channel.send(Message(MessageKind.HELLO, 0, 0, Hello(config=cfg)))
+        channel.recv(timeout=60)  # ACE_REPORT
+        channel.send(Message(MessageKind.GLOBAL_BLOCK, 1, 0, block))
+        channel.recv(timeout=30)  # no DEFLATE_ACK comes
+    except OSError:  # the client hangs up
+        pass
+    finally:
+        channel.close()
+
+
+@pytest.mark.parametrize("damage", ["doubled-rows", "nan-core"])
+def test_federate_client_refuses_a_bad_global_block(tmp_path, capsys, damage):
+    from fbttr.cli import EXIT_PROTOCOL
+
+    data = tmp_path / "d.npz"
+    run_cli("synth", "--out", str(data), "--shape", "30x4x3", "--blocks", "1",
+            "--snr-db", "20", "--seed", "0")
+    rows = 2 if damage == "doubled-rows" else 1
+    block = Block(core=np.full((1, 1, 1), np.nan if damage == "nan-core" else 1.0),
+                  score_core=np.ones((1, 1, 1)),
+                  factors=[np.eye(4 * rows)[:, :1], np.eye(3 * rows)[:, :1]],
+                  q=np.ones((1, 1)), d=1.0)
+    cfg = FitConfig(max_blocks=2, grid=parse_grid("15:35:20", "97:100:3"))
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    hub = threading.Thread(target=_hub_sending, args=(block, cfg, listener), daemon=True)
+    hub.start()
+    try:
+        code = run_cli("federate", "--role", "client", "--round-timeout", "60",
+                       "--connect", f"127.0.0.1:{listener.getsockname()[1]}", "--data", str(data))
+    finally:
+        hub.join(timeout=60)
+        listener.close()
+    assert not hub.is_alive()
+    assert code == EXIT_PROTOCOL
+    assert "global block does not fit" in capsys.readouterr().err
 
 
 def test_fit_missing_file_exit_code(tmp_path):

@@ -72,6 +72,9 @@ def test_config_validation_messages():
         ExperimentConfig(grid_snr="50:1").validate()
     with pytest.raises(ConfigError, match="response"):
         ExperimentConfig(data="file.csv").validate()
+    for shape in ("20x0", "20x-3", "x", "20xx6", "20"):
+        with pytest.raises(ConfigError, match="synth_shape"):
+            ExperimentConfig.from_mapping({"synth_shape": shape})
 
 
 def test_grid_range_parsing():

@@ -585,6 +585,81 @@ def test_hub_excludes_block_holding_nan_or_inf(field):
     assert model.z.tobytes() == solo.z.tobytes()
 
 
+class TamperedReportSession(ClientSession):
+    """A client that rewrites fields of every non-skip ACE_REPORT it sends."""
+
+    def __init__(self, *args, **changes):
+        super().__init__(*args)
+        self.changes = changes
+
+    def handle(self, msg):
+        out = super().handle(msg)
+        for m in out:
+            if m.kind == MessageKind.ACE_REPORT and not m.payload.skip:
+                for name, value in self.changes.items():
+                    setattr(m.payload, name, value)
+        return out
+
+
+CAPPED = FitConfig(max_blocks=2, epsilon=1e-8, grid=GRID, rank_cap=2)
+
+
+@pytest.mark.parametrize("changes,cfg", [
+    (dict(ranks=(0, 0)), CFG),
+    (dict(ranks=(2, 2, 2)), CFG),
+    (dict(ranks=(2,)), CFG),
+    (dict(ranks=(5, 1)), CFG),  # mode-2 extent is 4
+    (dict(ranks=(3, 1)), CAPPED),
+    (dict(snr=30.0), CFG),
+    (dict(tau=96.0), CFG),
+    (dict(bic=float("nan")), CFG),
+    (dict(bic=float("inf")), CFG),
+], ids=["rank-0", "three-modes", "one-mode", "above-extent", "above-cap",
+        "snr-off-grid", "tau-off-grid", "bic-nan", "bic-inf"])
+def test_hub_excludes_an_unsound_ace_report(changes, cfg):
+    clients = [make_dataset(74), make_dataset(75)]
+    sessions = {0: ClientSession(0, *clients[0]),
+                1: TamperedReportSession(1, *clients[1], **changes)}
+    transport = LoopbackTransport(sessions)
+    model = federated_fit_over(transport, cfg)
+    assert transport.client_ids() == [0, 1]
+    # the tampering client is left out of every round like an ERROR reply,
+    # so the honest client's ranks and model stand as if it were alone
+    solo = run_federated_fit([clients[0]], cfg)
+    assert [b.feature_ranks for b in model.blocks] == [b.feature_ranks for b in solo.blocks]
+    assert model.w.tobytes() == solo.w.tobytes()
+    assert model.z.tobytes() == solo.z.tobytes()
+
+
+def _global_block(x, y, damage):
+    upd = client_local_block(x, y, ace(x, y, GRID), HyperAssign(25.0, 100.0, (2, 2)), CFG.rank_cap)
+    gb = aggregate_block([upd])
+    if damage == "doubled-rows":
+        gb.factors = [np.vstack([f, f]) for f in gb.factors]
+    elif damage == "nan-core":
+        gb.core = np.full_like(gb.core, np.nan)
+    elif damage == "inf-factor":
+        gb.factors[0] = gb.factors[0].copy()
+        gb.factors[0][0, 0] = np.inf
+    elif damage == "two-row-q":
+        gb.q = np.vstack([gb.q, gb.q])
+    return gb
+
+
+@pytest.mark.parametrize("damage,rank_cap", [
+    ("doubled-rows", 10), ("nan-core", 10), ("inf-factor", 10), ("two-row-q", 10), (None, 1),
+], ids=["doubled-rows", "nan-core", "inf-factor", "two-row-q", "rank-above-cap"])
+def test_client_refuses_a_bad_global_block_before_touching_its_residuals(damage, rank_cap):
+    x, y = make_dataset(76)
+    session = ClientSession(0, x, y)
+    session.handle(hub_hello(FitConfig(max_blocks=2, epsilon=1e-8, grid=GRID, rank_cap=rank_cap)))
+    e, f, norms = session.e, session.f, session.norms
+    with pytest.raises(ProtocolError, match="global block"):
+        session.handle(Message(MessageKind.GLOBAL_BLOCK, 1, 0, _global_block(x, y, damage)))
+    assert session.e is e and session.f is f
+    assert session.norms == norms and session.blocks_deflated == 0
+
+
 def test_client_session_rejects_inf_data():
     x, y = make_dataset(68)
     for value in (np.inf, -np.inf):

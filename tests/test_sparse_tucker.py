@@ -160,7 +160,7 @@ def test_lambda_huge_target_returns_zero():
     rng = np.random.default_rng(3)
     c = rng.normal(size=(2, 4, 3))
     res = hooi_init(c, (1, 2, 2))
-    assert lambda_from_snr(norm_sq(c), res.core, 300.0) == 0.0
+    assert lambda_from_snr(norm_sq(c), np.abs(res.core), 300.0) == 0.0
 
 
 def test_lambda_bisection_matches_direct_scan():
@@ -168,12 +168,12 @@ def test_lambda_bisection_matches_direct_scan():
     c = rng.normal(size=(2, 6, 5))
     res = hooi_init(c, (2, 4, 4))
     target = 3.0
-    lam = lambda_from_snr(norm_sq(c), res.core, target)
+    lam = lambda_from_snr(norm_sq(c), np.abs(res.core), target)
     assert 0.0 < lam < np.abs(res.core).max()
     # the shortcut must agree with the direct reconstruction oracle
     assert abs(snr_scan_oracle(c, res, lam) - target) <= 0.1
     # monotone: a larger target needs less shrinkage
-    lam_high = lambda_from_snr(norm_sq(c), res.core, 6.0)
+    lam_high = lambda_from_snr(norm_sq(c), np.abs(res.core), 6.0)
     assert lam_high < lam
 
 
@@ -182,7 +182,7 @@ def test_lambda_target_met_at_zero():
     c = rng.normal(size=(2, 4, 3))
     res = hooi_init(c, (1, 1, 1))
     achievable = snr_scan_oracle(c, res, 0.0)
-    assert lambda_from_snr(norm_sq(c), res.core, achievable + 1.0) == 0.0
+    assert lambda_from_snr(norm_sq(c), np.abs(res.core), achievable + 1.0) == 0.0
 
 
 def test_grid_search_holds_c_squared_norm():
@@ -196,9 +196,25 @@ def test_grid_search_holds_c_squared_norm():
 
 def test_soft_threshold_formula():
     core = np.array([3.0, -1.0, 0.5])
-    assert np.array_equal(soft_threshold(core, 0.0), core)
-    assert np.array_equal(soft_threshold(core, 2.0), np.array([1.0, 0.0, 0.0]))
-    assert np.array_equal(soft_threshold(core, 5.0), np.zeros(3))
+    assert np.array_equal(soft_threshold(core, np.abs(core), 0.0)[0], core)
+    assert np.array_equal(soft_threshold(core, np.abs(core), 2.0)[0], np.array([1.0, 0.0, 0.0]))
+    assert np.array_equal(soft_threshold(core, np.abs(core), 5.0)[0], np.zeros(3))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(seed=hst.integers(0, 2**32 - 1), lam_at=hst.sampled_from(["zero", "entry", "max", "above"]))
+def test_soft_threshold_magnitude_is_abs_of_shrunk_core(seed, lam_at):
+    # prune reads the second output as |shrunk core|: it must be that to the
+    # bit, signed zeros and a lam equal to an entry's magnitude included
+    rng = np.random.default_rng(seed)
+    core = rng.normal(size=(2, 3, 4))
+    core[rng.random(size=core.shape) < 0.2] = 0.0
+    core[rng.random(size=core.shape) < 0.2] = -0.0
+    magnitude = np.abs(core)
+    lam = {"zero": 0.0, "entry": float(rng.choice(magnitude.ravel())),
+           "max": float(magnitude.max()), "above": 2.0 * float(magnitude.max())}[lam_at]
+    shrunk, shrunk_magnitude = soft_threshold(core, magnitude, lam)
+    assert shrunk_magnitude.tobytes() == np.abs(shrunk).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +227,22 @@ def result_with_core(core, rng=None):
     return SparseTuckerResult(core=core, q=mats[0], factors=mats[1:])
 
 
+def prune_result(res, tau):
+    """prune on the arrays of ``res``, its output as a result again."""
+    core, mats = prune(res.core, [res.q] + res.factors, np.abs(res.core), tau)
+    return SparseTuckerResult(core=core, q=mats[0], factors=mats[1:])
+
+
 def test_prune_tau_100_keeps_positive_energy_components():
     rng = np.random.default_rng(7)
     core = rng.normal(size=(2, 3, 2))
     res = result_with_core(core, rng)
-    pruned = prune(res, 100.0)
+    pruned = prune_result(res, 100.0)
     assert pruned.ranks == res.ranks
+    # keeping every component hands back the inputs themselves
+    mats = [res.q] + res.factors
+    core, kept = prune(res.core, mats, np.abs(res.core), 100.0)
+    assert core is res.core and kept is mats
 
 
 def test_prune_drops_weak_mode2_slice():
@@ -228,7 +254,7 @@ def test_prune_drops_weak_mode2_slice():
     # hand-computed contribution ratios
     g2 = np.abs(unfold(core, 2)).sum(axis=1)
     assert np.allclose(g2 / g2.sum(), [0.99, 0.01])
-    pruned = prune(res, 95.0)
+    pruned = prune_result(res, 95.0)
     assert pruned.core.shape[1] == 1
     assert pruned.factors[0].shape[1] == 1
 
@@ -238,9 +264,9 @@ def test_prune_equal_contributions_all_retained_above_balance_point():
     # 100 * (1 - 1/R), and collapse to one below it
     core = np.ones((1, 4, 1))
     res = result_with_core(core)
-    assert prune(res, 80.0).core.shape[1] == 4   # threshold 0.2 < 0.25
-    assert prune(res, 75.0).core.shape[1] == 1   # threshold 0.25, not exceeded
-    assert prune(res, 70.0).core.shape[1] == 1
+    assert prune_result(res, 80.0).core.shape[1] == 4   # threshold 0.2 < 0.25
+    assert prune_result(res, 75.0).core.shape[1] == 1   # threshold 0.25, not exceeded
+    assert prune_result(res, 70.0).core.shape[1] == 1
 
 
 def test_prune_never_increases_ranks_randomized():
@@ -250,7 +276,7 @@ def test_prune_never_increases_ranks_randomized():
         core = rng.normal(size=shape) * (rng.random(size=shape) > 0.3)
         res = result_with_core(core, rng)
         tau = float(rng.uniform(0, 100))
-        pruned = prune(res, tau)
+        pruned = prune_result(res, tau)
         assert all(a <= b for a, b in zip(pruned.ranks, res.ranks))
         assert all(r >= 1 for r in pruned.ranks)
 
@@ -292,7 +318,7 @@ def test_prune_equals_take_reference(case):
     res, tau = case
     inputs = [res.core, res.q] + res.factors
     before = [m.tobytes() for m in inputs]
-    got, ref = prune(res, tau), prune_reference(res, tau)
+    got, ref = prune_result(res, tau), prune_reference(res, tau)
     for u, v in zip([got.core, got.q] + got.factors, [ref.core, ref.q] + ref.factors):
         assert u.shape == v.shape and u.tobytes() == v.tobytes()
     assert [m.tobytes() for m in inputs] == before
@@ -551,8 +577,8 @@ def planted_or_noise(kind):
 class CacheFreeSearch(st.GridSearch):
     """A GridSearch that recomputes every refresh and stores none."""
 
-    def refresh(self, result):
-        return st._hooi_refresh(self.c, result)
+    def refresh(self, mats):
+        return st._hooi_sweep(self.c, mats, [m.shape[1] for m in mats])
 
 
 def ace_reference(x, y, grid, rank_cap=10):
@@ -579,10 +605,9 @@ def ace_reference(x, y, grid, rank_cap=10):
                        factors=res.factors, snr_star=snr_star, tau_star=tau_star, bic=bic)
 
 
-def freeze(result):
-    for m in [result.core, result.q] + list(result.factors):
+def freeze(arrays):
+    for m in arrays:
         m.setflags(write=False)
-    return result
 
 
 class ReadOnlySearch(st.GridSearch):
@@ -591,10 +616,12 @@ class ReadOnlySearch(st.GridSearch):
 
     def __init__(self, *args):
         super().__init__(*args)
-        freeze(self.init)
+        freeze([self.init.core, self.init.q] + self.init.factors)
 
-    def refresh(self, result):
-        return freeze(super().refresh(result))
+    def refresh(self, mats):
+        fresh = super().refresh(mats)
+        freeze(fresh[0] + [fresh[1]])
+        return fresh
 
 
 @pytest.mark.parametrize("kind", ["planted", "noise"])
@@ -644,6 +671,7 @@ def test_ace_refresh_cache_is_used_and_bounded(monkeypatch):
         # in that row or the one before
         def __init__(self, *args):
             super().__init__(*args)
+            counts["refresh"] = 0  # the HOOI start's sweeps are not refreshes
             self.n_row, self.touched, self.created = -1, {}, set()
             searches.append(self)
 
@@ -657,13 +685,13 @@ def test_ace_refresh_cache_is_used_and_bounded(monkeypatch):
             super().start_row()
             self.n_row += 1
 
-        def refresh(self, result):
-            key = st._refresh_key(result)
+        def refresh(self, mats):
+            key = tuple(m.shape[1] for m in mats), b"".join(m.tobytes() for m in mats)
             self.touched[key] = self.n_row
             self.created.add(key)
-            return super().refresh(result)
+            return super().refresh(mats)
 
-    monkeypatch.setattr(st, "_hooi_refresh", counting("refresh", st._hooi_refresh))
+    monkeypatch.setattr(st, "_hooi_sweep", counting("refresh", st._hooi_sweep))
     monkeypatch.setattr(st, "lambda_from_snr", counting("sweep", st.lambda_from_snr))
     monkeypatch.setattr(st, "GridSearch", RecordingSearch)
     ace(x, y, CACHE_GRID)
@@ -680,18 +708,18 @@ def test_grid_search_refresh_that_lowers_a_rank():
     rng = np.random.default_rng(26)
     c = rng.normal(size=(1, 6, 5))
     init = hooi_init(c, (1, 3, 3))
-    res = replace(init, core=init.core[:, :, :1].copy(),
-                  factors=[init.factors[0], init.factors[1][:, :1].copy()])
-    ref = st._hooi_refresh(c, res)
-    assert ref.ranks == (1, 1, 1)
+    mats = [init.q, init.factors[0], init.factors[1][:, :1].copy()]
+    ref_mats, ref_core = st._hooi_sweep(c, mats, (1, 3, 1))
+    assert ref_core.shape == (1, 1, 1)
     search = st.GridSearch(c, 10)
-    got = search.refresh(res)  # a miss
-    for u, v in zip([got.core, got.q] + got.factors, [ref.core, ref.q] + ref.factors):
+    got = search.refresh(mats)  # a miss
+    got_mats, got_core = got
+    for u, v in zip([got_core] + got_mats, [ref_core] + ref_mats):
         assert u.shape == v.shape and u.tobytes() == v.tobytes()
     # a repeat refresh, in the same row or the next, hands back the stored result itself
-    assert search.refresh(res) is got
+    assert search.refresh(mats) is got
     search.start_row()
-    assert search.refresh(res) is got
+    assert search.refresh(mats) is got
 
 
 def test_ace_skips_a_cell_whose_core_turns_non_finite(monkeypatch):
@@ -706,9 +734,9 @@ def test_ace_skips_a_cell_whose_core_turns_non_finite(monkeypatch):
         cell[0] = (snr, tau)
         return real_cell(search, snr, tau)
 
-    def shrink(core, lam):
-        out = real_shrink(core, lam)
-        return np.full_like(out, math.nan) if cell[0] == poisoned else out
+    def shrink(core, magnitude, lam):
+        out = real_shrink(core, magnitude, lam)
+        return tuple(np.full_like(a, math.nan) for a in out) if cell[0] == poisoned else out
 
     monkeypatch.setattr(st, "f_mpstd_cov", tracking)
     monkeypatch.setattr(st, "soft_threshold", shrink)
@@ -741,7 +769,7 @@ def test_fmpstd_cov_reuses_shared_init():
     c = cross_covariance(x, y)
     search = st.GridSearch(c, 10)
     # a pruned result can share the start's arrays: the cell must never write into them
-    freeze(search.init)
+    freeze([search.init.core, search.init.q] + search.init.factors)
     a = f_mpstd_cov(search, 15.0, 97.0)
     b = f_mpstd(x, y, snr=15.0, tau=97.0)
     assert np.allclose(a.core, b.core, atol=1e-12)
