@@ -65,6 +65,8 @@ class Dataset:
     rejected_rows: list = field(default_factory=list)
 
     def __post_init__(self):
+        if self.task not in TASKS:
+            raise DataError(f"task must be one of {TASKS}, got {self.task!r}")
         self.x = as_tensor(self.x, min_order=2)
         self.y = np.asarray(self.y, dtype=np.float64)
         if self.y.ndim == 1:

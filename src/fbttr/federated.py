@@ -1,19 +1,19 @@
 """Hub-and-spoke federated training of a block-term tensor regression.
 
 One global block is trained per round.  Every client runs the automatic
-component extraction on its local residuals and reports hyperparameters
-and ranks; the hub harmonises ranks to the elementwise minimum, assigns
-each client its own selected (SNR, tau), aggregates the returned block
-parameters by a sample-count-weighted average after sign/permutation
-alignment, and broadcasts the global block; the model is the list of
-broadcast blocks.  Clients recompute their score vector locally from the
-global factors and deflate their residuals; only cores, factors, loadings,
-scalars, norms and sample counts ever cross the wire.
+component extraction on its local residuals and reports its ranks; the hub
+harmonises them to the elementwise minimum and assigns every client those
+target ranks.  A client whose ranks are above the target reruns the
+decomposition at its own selected (SNR, tau) and truncates it.  The hub
+aggregates the returned block parameters by a sample-count-weighted average
+after sign/permutation alignment and broadcasts the global block; the model
+is the list of broadcast blocks.  Clients recompute their score vector
+locally from the global factors and deflate their residuals; only ranks,
+cores, factors, loadings, scalars and sample counts ever cross the wire.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 from typing import Optional
 
@@ -37,8 +37,6 @@ from .transport import DEFAULT_ROUND_TIMEOUT, ClientDropout, LoopbackTransport, 
 from .wire import (
     AceReport,
     BlockUpdate,
-    DeflateAck,
-    Done,
     ErrorCode,
     Hello,
     HyperAssign,
@@ -80,8 +78,7 @@ def harmonize_ranks(reports: dict) -> tuple:
     """Elementwise-minimum target ranks plus per-client assignments.
 
     ``reports`` maps client id to a non-skip :class:`AceReport`.  Every
-    client keeps its own selected (SNR, tau) and is told to truncate to the
-    shared target ranks.
+    client is told to truncate to the shared target ranks.
     """
     if not reports:
         raise ValueError("no reports to harmonize")
@@ -90,11 +87,7 @@ def harmonize_ranks(reports: dict) -> tuple:
     if any(len(r) != n_modes for r in rank_lists):
         raise ProtocolError("clients reported inconsistent mode counts")
     target = tuple(max(1, min(r[m] for r in rank_lists)) for m in range(n_modes))
-    assignments = {
-        cid: HyperAssign(snr=rep.snr, tau=rep.tau, target_ranks=target)
-        for cid, rep in reports.items()
-    }
-    return target, assignments
+    return target, {cid: HyperAssign(target) for cid in reports}
 
 
 def truncate_to_ranks(res: SparseTuckerResult, target_ranks) -> SparseTuckerResult:
@@ -118,20 +111,18 @@ def truncate_to_ranks(res: SparseTuckerResult, target_ranks) -> SparseTuckerResu
     return replace(res, core=core, factors=factors)
 
 
-def client_local_block(e, f, own: AceResult, assignment: HyperAssign, rank_cap: int) -> BlockUpdate:
-    """The round's local block at the assigned (SNR, tau) and target ranks.
+def client_local_block(e, f, own: AceResult, target_ranks, rank_cap: int) -> BlockUpdate:
+    """The round's local block at the target ranks.
 
-    ``own`` is the client's extraction for this round.  When it already
-    matches the assignment (single client, or its ranks were already the
-    minimum) its block is returned; otherwise the decomposition of the
-    residuals ``e``, ``f`` is rerun at the assignment and truncated.
+    ``own`` is the client's extraction for this round.  When its ranks are
+    the target (single client, or its ranks were already the minimum) its
+    block is returned; otherwise the decomposition of the residuals ``e``,
+    ``f`` is rerun at the client's own selected (SNR, tau) and truncated.
     """
-    if (own.snr_star, own.tau_star, own.block.feature_ranks) == (
-        assignment.snr, assignment.tau, tuple(assignment.target_ranks)
-    ):
+    if own.block.feature_ranks == tuple(target_ranks):
         return BlockUpdate(e.shape[0], own.block)
-    res = f_mpstd(e, f, snr=assignment.snr, tau=assignment.tau, rank_cap=rank_cap)
-    res = truncate_to_ranks(collapse_response_mode(res), assignment.target_ranks)
+    res = f_mpstd(e, f, snr=own.snr_star, tau=own.tau_star, rank_cap=rank_cap)
+    res = truncate_to_ranks(collapse_response_mode(res), target_ranks)
     return BlockUpdate(e.shape[0], block_from(e, f, res)[0])
 
 
@@ -141,16 +132,15 @@ def client_deflate(e, f, gb: Block) -> tuple:
     The score vector is recomputed locally from the global factors and
     score core, the predictor residual loses its own projection onto
     (t, factors), and the response residual is deflated with the global
-    loading but the locally fitted coefficient.  Returns the new residuals
-    and the acknowledgement carrying their norms only.
+    loading but the locally fitted coefficient.  Returns the new residuals,
+    or ``e`` and ``f`` themselves when there is nothing to remove.
     """
     try:
         t, local_core, _ = finalize_block(e, gb.score_core, gb.factors)
     except AceError:
-        # residual has no component along the global block; nothing to remove
-        return e, f, DeflateAck(e_norm=frobenius_norm(e), f_norm=frobenius_norm(f), deflated=False)
-    e, f = deflate(e, f, local_core, gb.factors, gb.q, coefficient(f, gb.q, t), t)
-    return e, f, DeflateAck(e_norm=frobenius_norm(e), f_norm=frobenius_norm(f))
+        # residual has no component along the global block
+        return e, f
+    return deflate(e, f, local_core, gb.factors, gb.q, coefficient(f, gb.q, t), t)
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +248,14 @@ class ClientSession:
     """One client's whole state and its protocol driver.
 
     ``e``, ``f`` are the residuals (the checked inputs, never copied or
-    written, until the first deflation) and ``norms`` their norms, set here
-    and from each :class:`DeflateAck`.  The stop rule is decided once per
-    round, when the client reports: ``_round`` is (round, AceResult or None
-    for a skip), which a retry reports again and a HYPER_ASSIGN builds on.
-    A GLOBAL_BLOCK that does not fit the client's shapes, is not finite or
-    exceeds the rank cap raises :class:`ProtocolError` before any deflation.
+    written, until the first deflation) and ``norms`` their norms, taken
+    here and after each deflation; neither leaves the client.  The stop rule
+    is decided once per round, when the client reports: ``_round`` is
+    (round, AceResult or None for a skip), which a retry reports again and a
+    HYPER_ASSIGN builds on.  Any message but HELLO before the hub's config,
+    and a GLOBAL_BLOCK that does not fit the client's shapes, is not finite
+    or exceeds the rank cap, raise :class:`ProtocolError` before any
+    deflation.
     """
 
     def __init__(self, client_id: int, x, y):
@@ -279,10 +271,10 @@ class ClientSession:
         self._round = (None, None)
 
     def hello(self) -> Message:
-        payload = Hello(sample_count=self.e.shape[0], feature_shape=self.e.shape[1:], n_responses=self.f.shape[1])
+        payload = Hello(feature_shape=self.e.shape[1:], n_responses=self.f.shape[1])
         return self._msg(MessageKind.HELLO, 0, payload)
 
-    def _msg(self, kind, rnd, payload) -> Message:
+    def _msg(self, kind, rnd, payload=None) -> Message:
         return Message(kind=kind, round=rnd, client_id=self.client_id, payload=payload)
 
     def _ace_report(self, rnd: int) -> Message:
@@ -296,14 +288,8 @@ class ClientSession:
                     pass
             self._round = (rnd, result)
         result = self._round[1]
-        report = AceReport(skip=True) if result is None else AceReport(
-            skip=False,
-            snr=result.snr_star,
-            tau=result.tau_star,
-            bic=result.bic,
-            ranks=result.block.feature_ranks,
-        )
-        return self._msg(MessageKind.ACE_REPORT, rnd, report)
+        ranks = () if result is None else result.block.feature_ranks
+        return self._msg(MessageKind.ACE_REPORT, rnd, AceReport(skip=result is None, ranks=ranks))
 
     def handle(self, msg: Message) -> list:
         if msg.kind == MessageKind.HELLO:
@@ -312,12 +298,14 @@ class ClientSession:
             self.client_id = msg.client_id
             self.cfg = msg.payload.config
             return [self._ace_report(1)]
+        if self.cfg is None:
+            raise ProtocolError(f"{msg.kind.name} arrived before the hub's HELLO")
         if msg.kind == MessageKind.HYPER_ASSIGN:
             rnd, own = self._round
             if rnd != msg.round or own is None:
                 return [self._msg(MessageKind.BLOCK_UPDATE, msg.round, BlockUpdate(self.e.shape[0]))]
             try:
-                update = client_local_block(self.e, self.f, own, msg.payload, self.cfg.rank_cap)
+                update = client_local_block(self.e, self.f, own, msg.payload.target_ranks, self.cfg.rank_cap)
             except (AceError, ProtocolError, ValueError) as e:
                 info = ProtocolErrorInfo(code=int(ErrorCode.DECOMPOSITION_FAILED), detail=str(e))
                 return [self._msg(MessageKind.ERROR, msg.round, info)]
@@ -327,13 +315,13 @@ class ClientSession:
             if not (gb.fits(self.e.shape[1:], self.f.shape[1]) and gb.is_finite()
                     and all(r <= self.cfg.rank_cap for r in gb.feature_ranks)):
                 raise ProtocolError(f"round {msg.round} global block does not fit this client")
-            if self.cfg.stops(*self.norms):
-                ack = DeflateAck(*self.norms, deflated=False)
-            else:
-                self.e, self.f, ack = client_deflate(self.e, self.f, gb)
-                self.norms = (ack.e_norm, ack.f_norm)
-                self.blocks_deflated += ack.deflated
-            out = [self._msg(MessageKind.DEFLATE_ACK, msg.round, ack)]
+            if not self.cfg.stops(*self.norms):
+                e, f = client_deflate(self.e, self.f, gb)
+                if e is not self.e:
+                    self.e, self.f = e, f
+                    self.norms = (frobenius_norm(e), frobenius_norm(f))
+                    self.blocks_deflated += 1
+            out = [self._msg(MessageKind.DEFLATE_ACK, msg.round)]
             if msg.round < self.cfg.max_blocks:
                 out.append(self._ace_report(msg.round + 1))
             return out
@@ -411,13 +399,9 @@ def _handshake(transport, cfg: FitConfig) -> tuple:
 
 def _sound(report: AceReport, feature_shape, cfg: FitConfig) -> bool:
     """Whether a non-skip ``report`` names one rank per feature mode, each in
-    ``1..min(extent, rank_cap)``, an (SNR, tau) of the grid and a finite BIC."""
-    return (
-        len(report.ranks) == len(feature_shape)
-        and all(1 <= r <= min(ext, cfg.rank_cap) for r, ext in zip(report.ranks, feature_shape))
-        and report.snr in cfg.grid.snr_values
-        and report.tau in cfg.grid.tau_values
-        and math.isfinite(report.bic)
+    ``1..min(extent, rank_cap)``."""
+    return len(report.ranks) == len(feature_shape) and all(
+        1 <= r <= min(ext, cfg.rank_cap) for r, ext in zip(report.ranks, feature_shape)
     )
 
 
@@ -503,9 +487,7 @@ def federated_fit_over(transport, cfg: FitConfig) -> BttrModel:
                 transport.drop(cid)
 
     for cid in transport.client_ids():
-        _send_or_drop(transport, cid, Message(
-            MessageKind.DONE, rnd, cid, Done(blocks_extracted=len(blocks))
-        ))
+        _send_or_drop(transport, cid, Message(MessageKind.DONE, rnd, cid))
 
     if not blocks:
         raise FitError("no block could be extracted on any client")

@@ -1,24 +1,28 @@
 """Wire protocol for federated training.
 
-Frame layout: 4-byte magic ``FBTP``, 1-byte version (0x02), 1-byte message
+Frame layout: 4-byte magic ``FBTP``, 1-byte version (0x03), 1-byte message
 kind, 4-byte little-endian payload length, then the payload.  Every
 payload starts with u32 round and u32 client id; the remaining fields are
 kind-specific, with shapes always preceding data and every f64 array
 preceded by a 4-byte element count.
 
-``HELLO`` travels both ways.  A client's carries its sample count, feature
-shape and response count; the hub's reply carries the whole
+``HELLO`` travels both ways.  A client's carries its feature shape and
+response count; the hub's reply carries the whole
 :class:`~fbttr.bttr.FitConfig` after a u8 presence flag: u32 max_blocks,
 f64 epsilon, u32 rank_cap, then the SNR and tau grids as f64 arrays.
-``BLOCK_UPDATE`` is a u8 skip flag, the u32 sample count and, unless
-skipped, a block; ``GLOBAL_BLOCK`` is a block.  Both hold a
-:class:`~fbttr.bttr.Block` in the layout of :meth:`fbttr.binio.Writer.block`,
-the same bytes a model file stores.
+``ACE_REPORT`` is a u8 skip flag and the client's feature ranks;
+``HYPER_ASSIGN`` is the round's target ranks.  ``BLOCK_UPDATE`` is a u8
+skip flag, the u32 sample count and, unless skipped, a block;
+``GLOBAL_BLOCK`` is a block.  Both hold a :class:`~fbttr.bttr.Block` in the
+layout of :meth:`fbttr.binio.Writer.block`, the same bytes a model file
+stores.  ``DEFLATE_ACK`` and ``DONE`` carry nothing after the round and
+client id.
 
-Payloads intentionally carry only aggregate quantities: cores, factor
-matrices, response loadings, scalar coefficients, residual norms and
-sample counts.  Raw data tensors, residuals and per-sample score vectors
-never appear in any message.
+A payload field exists only if its receiver reads it.  Clients send ranks,
+block parameters (cores, factor matrices, response loadings, scalar
+coefficients) and sample counts; a client's (SNR, tau), BIC and residual
+norms never leave it, and neither do raw data tensors, residuals or
+per-sample score vectors.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .bttr import Block, FitConfig
 from .sparse_tucker import HyperGrid
 
 MAGIC = b"FBTP"
-VERSION = 2
+VERSION = 3
 HEADER_LEN = 10
 
 __all__ = [
@@ -46,8 +50,6 @@ __all__ = [
     "AceReport",
     "HyperAssign",
     "BlockUpdate",
-    "DeflateAck",
-    "Done",
     "ProtocolErrorInfo",
     "Message",
     "encode_message",
@@ -82,7 +84,6 @@ class ErrorCode(IntEnum):
 class Hello:
     """Roster entry from a client, or the hub's reply carrying the training configuration."""
 
-    sample_count: int = 0
     feature_shape: tuple = ()
     n_responses: int = 0
     config: Optional[FitConfig] = None
@@ -91,16 +92,11 @@ class Hello:
 @dataclass
 class AceReport:
     skip: bool
-    snr: float = 0.0
-    tau: float = 0.0
-    bic: float = 0.0
     ranks: tuple = ()
 
 
 @dataclass
 class HyperAssign:
-    snr: float
-    tau: float
     target_ranks: tuple
 
 
@@ -114,18 +110,6 @@ class BlockUpdate:
     @property
     def skip(self) -> bool:
         return self.block is None
-
-
-@dataclass
-class DeflateAck:
-    e_norm: float
-    f_norm: float
-    deflated: bool = True
-
-
-@dataclass
-class Done:
-    blocks_extracted: int = 0
 
 
 @dataclass
@@ -164,7 +148,6 @@ def _write_payload(w: Writer, msg: Message) -> None:
     p = msg.payload
     k = msg.kind
     if k == MessageKind.HELLO:
-        w.u32(p.sample_count)
         w.u32(len(p.feature_shape))
         for s in p.feature_shape:
             w.u32(s)
@@ -174,15 +157,10 @@ def _write_payload(w: Writer, msg: Message) -> None:
             _write_config(w, p.config)
     elif k == MessageKind.ACE_REPORT:
         w.u8(1 if p.skip else 0)
-        w.f64(p.snr)
-        w.f64(p.tau)
-        w.f64(p.bic)
         w.u32(len(p.ranks))
         for r in p.ranks:
             w.u32(r)
     elif k == MessageKind.HYPER_ASSIGN:
-        w.f64(p.snr)
-        w.f64(p.tau)
         w.u32(len(p.target_ranks))
         for r in p.target_ranks:
             w.u32(r)
@@ -193,12 +171,8 @@ def _write_payload(w: Writer, msg: Message) -> None:
             w.block(p.block)
     elif k == MessageKind.GLOBAL_BLOCK:
         w.block(p)
-    elif k == MessageKind.DEFLATE_ACK:
-        w.f64(p.e_norm)
-        w.f64(p.f_norm)
-        w.u8(1 if p.deflated else 0)
-    elif k == MessageKind.DONE:
-        w.u32(p.blocks_extracted if p else 0)
+    elif k in (MessageKind.DEFLATE_ACK, MessageKind.DONE):
+        pass
     elif k == MessageKind.ERROR:
         w.u32(p.code)
         w.string(p.detail)
@@ -208,30 +182,22 @@ def _write_payload(w: Writer, msg: Message) -> None:
 
 def _read_payload(r: Reader, kind: MessageKind):
     if kind == MessageKind.HELLO:
-        sample_count = r.u32()
-        n_modes = r.u32()
-        feature_shape = tuple(r.u32() for _ in range(n_modes))
+        feature_shape = tuple(r.u32() for _ in range(r.u32()))
         n_responses = r.u32()
         config = _read_config(r) if r.u8() else None
-        return Hello(sample_count, feature_shape, n_responses, config)
+        return Hello(feature_shape, n_responses, config)
     if kind == MessageKind.ACE_REPORT:
         skip = bool(r.u8())
-        snr, tau, bic = r.f64(), r.f64(), r.f64()
-        ranks = tuple(r.u32() for _ in range(r.u32()))
-        return AceReport(skip, snr, tau, bic, ranks)
+        return AceReport(skip, tuple(r.u32() for _ in range(r.u32())))
     if kind == MessageKind.HYPER_ASSIGN:
-        snr, tau = r.f64(), r.f64()
-        ranks = tuple(r.u32() for _ in range(r.u32()))
-        return HyperAssign(snr, tau, ranks)
+        return HyperAssign(tuple(r.u32() for _ in range(r.u32())))
     if kind == MessageKind.BLOCK_UPDATE:
         skip, n_samples = r.u8(), r.u32()
         return BlockUpdate(n_samples, None if skip else Block(*r.block()))
     if kind == MessageKind.GLOBAL_BLOCK:
         return Block(*r.block())
-    if kind == MessageKind.DEFLATE_ACK:
-        return DeflateAck(r.f64(), r.f64(), bool(r.u8()))
-    if kind == MessageKind.DONE:
-        return Done(r.u32())
+    if kind in (MessageKind.DEFLATE_ACK, MessageKind.DONE):
+        return None
     if kind == MessageKind.ERROR:
         return ProtocolErrorInfo(r.u32(), r.string())
     raise WireError(f"unknown message kind {kind}")

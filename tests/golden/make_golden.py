@@ -12,7 +12,7 @@ model's residual trace.  Written files:
 - ``centralized.fbttr``: the model bytes of a small centralized fit;
 - ``federation.fbttr``: the model bytes of a 3-client loopback federation
   whose harmonised target ranks are lowered by one, so every client reruns
-  its block at the assignment;
+  its block at its own (SNR, tau) and truncates it to the target;
 - ``golden.json``: the SHA-256 of both models, a SHA-256 over every frame the
   federation sent, and the numpy and BLAS fingerprint they were made on.
 

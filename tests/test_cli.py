@@ -102,13 +102,15 @@ def test_fit_writes_the_model_of_the_shared_preparation(tmp_path, cv):
 
 
 def _hub_sending(block, cfg, listener):
-    """A one-client hub that greets, takes the round-1 report, then sends ``block``."""
+    """A one-client hub that greets, takes the round-1 report, then sends
+    ``block``; with no ``cfg`` it sends ``block`` in place of its HELLO."""
     conn, _ = listener.accept()
     channel = SocketChannel(conn)
     try:
         channel.recv(timeout=30)  # HELLO
-        channel.send(Message(MessageKind.HELLO, 0, 0, Hello(config=cfg)))
-        channel.recv(timeout=60)  # ACE_REPORT
+        if cfg is not None:
+            channel.send(Message(MessageKind.HELLO, 0, 0, Hello(config=cfg)))
+            channel.recv(timeout=60)  # ACE_REPORT
         channel.send(Message(MessageKind.GLOBAL_BLOCK, 1, 0, block))
         channel.recv(timeout=30)  # no DEFLATE_ACK comes
     except OSError:  # the client hangs up
@@ -117,7 +119,7 @@ def _hub_sending(block, cfg, listener):
         channel.close()
 
 
-@pytest.mark.parametrize("damage", ["doubled-rows", "nan-core"])
+@pytest.mark.parametrize("damage", ["doubled-rows", "nan-core", "before-hello"])
 def test_federate_client_refuses_a_bad_global_block(tmp_path, capsys, damage):
     from fbttr.cli import EXIT_PROTOCOL
 
@@ -130,6 +132,8 @@ def test_federate_client_refuses_a_bad_global_block(tmp_path, capsys, damage):
                   factors=[np.eye(4 * rows)[:, :1], np.eye(3 * rows)[:, :1]],
                   q=np.ones((1, 1)), d=1.0)
     cfg = FitConfig(max_blocks=2, grid=parse_grid("15:35:20", "97:100:3"))
+    if damage == "before-hello":
+        cfg = None  # the hub sends the block in place of its HELLO
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.bind(("127.0.0.1", 0))
     listener.listen(1)
@@ -143,7 +147,8 @@ def test_federate_client_refuses_a_bad_global_block(tmp_path, capsys, damage):
         listener.close()
     assert not hub.is_alive()
     assert code == EXIT_PROTOCOL
-    assert "global block does not fit" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert ("before the hub's HELLO" if cfg is None else "global block does not fit") in err
 
 
 def test_fit_missing_file_exit_code(tmp_path):
@@ -262,6 +267,26 @@ def test_experiment_npz_data_needs_no_response(tmp_path):
     )
     assert run_cli("experiment", "--config", str(cfg)) == 0
     assert (tmp_path / "out" / "metrics.csv").exists()
+
+
+def test_experiment_npz_with_an_unknown_task_is_a_data_error(tmp_path, capsys):
+    data = tmp_path / "d.npz"
+    run_cli("synth", "--out", str(data), "--shape", "60x5x4", "--blocks", "1",
+            "--snr-db", "25", "--seed", "2")
+    saved = dict(np.load(data))
+    saved["task"] = np.str_("Regression")
+    np.savez(data, **saved)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "\n".join([
+            "mode=centralized", f"data={data}", "blocks=1",
+            "grid_snr=15:35:20", "grid_tau=97:100:3", "seeds=1", "test_blocks=3",
+            f"out={tmp_path / 'out'}",
+        ]) + "\n",
+        encoding="utf-8",
+    )
+    assert run_cli("experiment", "--config", str(cfg)) == EXIT_DATA
+    assert "'Regression'" in capsys.readouterr().err
 
 
 def test_experiment_cli_bad_config_exit_code(tmp_path):

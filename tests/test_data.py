@@ -129,6 +129,17 @@ def test_npz_round_trip(tmp_path):
     assert back.task == ds.task
 
 
+def test_dataset_rejects_a_task_outside_tasks(tmp_path):
+    ds, _ = make_synthetic((20, 4, 3), n_blocks=1, seed=3)
+    with pytest.raises(DataError, match="task"):
+        Dataset(x=ds.x, y=ds.y, feature_names=[], task="Regression")
+    path = tmp_path / "d.npz"
+    ds.task = "Regression"
+    save_npz(ds, path)
+    with pytest.raises(DataError, match="'Regression'"):
+        load_npz(path)
+
+
 # ---------------------------------------------------------------------------
 # synthetic generator
 # ---------------------------------------------------------------------------

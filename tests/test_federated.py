@@ -21,7 +21,7 @@ from fbttr.federated import (
     truncate_to_ranks,
 )
 from fbttr.model_io import model_to_bytes
-from fbttr.sparse_tucker import HyperGrid, SparseTuckerResult, ace
+from fbttr.sparse_tucker import HyperGrid, SparseTuckerResult, ace, f_mpstd
 from fbttr.tensor import frobenius_norm, multilinear_product, outer
 from fbttr.transport import (
     ClientDropout,
@@ -31,9 +31,9 @@ from fbttr.transport import (
     serve_clients,
 )
 from fbttr.wire import (
+    HEADER_LEN,
     AceReport,
     BlockUpdate,
-    DeflateAck,
     ErrorCode,
     Hello,
     HyperAssign,
@@ -96,24 +96,22 @@ def test_aggregation_weights():
 
 def test_harmonize_elementwise_minimum():
     target, assigns = harmonize_ranks({
-        0: AceReport(skip=False, snr=10.0, tau=95.0, ranks=(2, 3)),
-        1: AceReport(skip=False, snr=20.0, tau=99.0, ranks=(2, 2)),
+        0: AceReport(skip=False, ranks=(2, 3)),
+        1: AceReport(skip=False, ranks=(2, 2)),
     })
     assert target == (2, 2)
-    assert assigns[0].snr == 10.0 and assigns[0].tau == 95.0
-    assert assigns[1].snr == 20.0 and assigns[1].tau == 99.0
-    assert assigns[0].target_ranks == assigns[1].target_ranks == (2, 2)
+    assert assigns == {0: HyperAssign((2, 2)), 1: HyperAssign((2, 2))}
 
 
 def test_harmonize_single_client_keeps_own_ranks():
-    target, _ = harmonize_ranks({0: AceReport(skip=False, snr=5.0, tau=98.0, ranks=(3, 4))})
+    target, _ = harmonize_ranks({0: AceReport(skip=False, ranks=(3, 4))})
     assert target == (3, 4)
 
 
 def test_harmonize_min_with_floor():
     target, _ = harmonize_ranks({
-        0: AceReport(skip=False, snr=5.0, tau=98.0, ranks=(1, 5)),
-        1: AceReport(skip=False, snr=5.0, tau=98.0, ranks=(4, 1)),
+        0: AceReport(skip=False, ranks=(1, 5)),
+        1: AceReport(skip=False, ranks=(4, 1)),
     })
     assert target == (1, 1)
 
@@ -228,11 +226,12 @@ def test_client_session_skips_below_epsilon_after_round_1():
     session = ClientSession(0, 1e-12 * rng.normal(size=(5, 4, 3)), 1e-12 * rng.normal(size=(5, 1)))
     cfg = FitConfig(max_blocks=3, epsilon=1e-6, grid=GRID)
     assert session.handle(hub_hello(cfg))[0].kind == MessageKind.ACE_REPORT
+    e, norms = session.e, session.norms
     ack, report = session.handle(Message(MessageKind.GLOBAL_BLOCK, 1, 0, ZERO_BLOCK))
-    assert ack.payload.deflated is False
-    assert (ack.payload.e_norm, ack.payload.f_norm) == session.norms
+    assert ack.kind == MessageKind.DEFLATE_ACK and ack.payload is None
+    assert session.e is e and session.norms == norms and session.blocks_deflated == 0
     assert report.round == 2 and report.payload.skip is True
-    [upd] = session.handle(Message(MessageKind.HYPER_ASSIGN, 2, 0, HyperAssign(10.0, 97.0, (1, 1))))
+    [upd] = session.handle(Message(MessageKind.HYPER_ASSIGN, 2, 0, HyperAssign((1, 1))))
     assert upd.kind == MessageKind.BLOCK_UPDATE
     assert upd.payload.skip is True
     assert upd.payload.n_samples == 5
@@ -246,17 +245,14 @@ def test_hyper_assign_for_a_skipped_round_gets_a_skip_without_rerun(monkeypatch)
     session.handle(hub_hello(FitConfig(max_blocks=2, epsilon=10.0 * frobenius_norm(y), grid=GRID)))
     _, report = session.handle(Message(MessageKind.GLOBAL_BLOCK, 1, 0, ZERO_BLOCK))
     assert report.payload.skip is True
-    [upd] = session.handle(Message(MessageKind.HYPER_ASSIGN, 2, 0, HyperAssign(10.0, 97.0, (1, 1))))
+    [upd] = session.handle(Message(MessageKind.HYPER_ASSIGN, 2, 0, HyperAssign((1, 1))))
     assert upd.kind == MessageKind.BLOCK_UPDATE
     assert upd.payload.skip is True and upd.payload.n_samples == x.shape[0]
     assert reruns == []
 
 
-@pytest.mark.parametrize("assignment", [
-    HyperAssign(float("nan"), 97.0, (1, 1)), HyperAssign(0.0, 97.0, (1, 1)),
-    HyperAssign(-1.0, 97.0, (1, 1)), HyperAssign(10.0, -0.5, (1, 1)),
-    HyperAssign(10.0, 100.5, (1, 1)), HyperAssign(15.0, 100.0, (0, 0)),
-])
+@pytest.mark.parametrize("assignment", [HyperAssign((0, 0)), HyperAssign((1, 1, 1))],
+                         ids=["rank-0", "three-modes"])
 def test_hyper_assign_out_of_range_gets_an_error(assignment):
     x, y = make_dataset(15)
     session = ClientSession(0, x, y)
@@ -266,7 +262,7 @@ def test_hyper_assign_out_of_range_gets_an_error(assignment):
     assert reply.payload.code == ErrorCode.DECOMPOSITION_FAILED
 
 
-def test_client_local_block_planted_rank1():
+def test_client_local_block_planted_rank1(monkeypatch):
     rng = np.random.default_rng(9)
     t0 = rng.normal(size=40)
     t0 /= np.linalg.norm(t0)
@@ -274,11 +270,17 @@ def test_client_local_block_planted_rank1():
     p2 /= np.linalg.norm(p2)
     p3 = rng.normal(size=4)
     p3 /= np.linalg.norm(p3)
-    x = 2.0 * outer(t0, p2, p3)
+    x = 2.0 * outer(t0, p2, p3) + 0.02 * rng.normal(size=(40, 5, 4))
     y = (1.5 * t0).reshape(-1, 1)
-    # the client's own choice, (10, 97), differs from the assignment: a rerun
-    own = ace(x, y, HyperGrid(snr_values=(10.0,), tau_values=(97.0,)))
-    upd = client_local_block(x, y, own, HyperAssign(25.0, 100.0, (1, 1)), CFG.rank_cap)
+    # at its own (40, 100) the client keeps noise components, so its ranks
+    # are above the target: it reruns at that pair and truncates
+    own = ace(x, y, HyperGrid(snr_values=(40.0,), tau_values=(100.0,)))
+    assert min(own.block.feature_ranks) > 1
+    reruns = []
+    monkeypatch.setattr(federated, "f_mpstd", lambda *a, **k: reruns.append(k) or f_mpstd(*a, **k))
+    upd = client_local_block(x, y, own, (1, 1), CFG.rank_cap)
+    assert reruns == [dict(snr=40.0, tau=100.0, rank_cap=CFG.rank_cap)]
+    assert upd.block.feature_ranks == (1, 1)
     assert upd.skip is False
     assert upd.n_samples == 40
     assert upd.block.d > 0
@@ -287,9 +289,9 @@ def test_client_local_block_planted_rank1():
     from fbttr.tensor import unfold, vec
     t = unfold(proj, 1) @ vec(upd.block.score_core)
     assert abs(np.corrcoef(t, t0)[0, 1]) > 0.99
-    # an assignment equal to the client's own choice returns its block
-    mine = HyperAssign(own.snr_star, own.tau_star, own.block.feature_ranks)
-    assert client_local_block(x, y, own, mine, CFG.rank_cap).block is own.block
+    # a target equal to the client's own ranks returns its block
+    assert client_local_block(x, y, own, own.block.feature_ranks, CFG.rank_cap).block is own.block
+    assert len(reruns) == 1
 
 
 def test_client_local_block_infeasible_ranks():
@@ -298,29 +300,29 @@ def test_client_local_block_infeasible_ranks():
     y = rng.normal(size=(20, 1))
     own = ace(x, y, GRID)
     with pytest.raises(ProtocolError):
-        client_local_block(x, y, own, HyperAssign(10.0, 100.0, (9, 9)), CFG.rank_cap)
+        client_local_block(x, y, own, (9, 9), CFG.rank_cap)
 
 
 def test_client_deflate_zero_core_leaves_residuals():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(15, 4, 3))
     y = rng.normal(size=(15, 1))
-    e, f, ack = client_deflate(x.copy(), y.copy(), ZERO_BLOCK)
-    assert ack.deflated is False
-    assert np.array_equal(e, x)
-    assert np.array_equal(f, y)
+    # nothing to remove: the inputs themselves come back
+    e, f = client_deflate(x, y, ZERO_BLOCK)
+    assert e is x and f is y
 
 
 def test_client_deflate_never_increases_f_norm():
     x, y = make_dataset(13)
     own = ace(x, y, GRID)
-    upd = client_local_block(x, y, own, HyperAssign(25.0, 100.0, (2, 2)), CFG.rank_cap)
+    upd = client_local_block(x, y, own, (2, 2), CFG.rank_cap)
     gb = aggregate_block([upd])
-    e, f, ack = client_deflate(x.copy(), y.copy(), gb)
-    assert ack.deflated is True
-    assert (ack.e_norm, ack.f_norm) == (frobenius_norm(e), frobenius_norm(f))
-    assert ack.f_norm <= frobenius_norm(y) + 1e-12
-    assert ack.e_norm <= frobenius_norm(x) + 1e-12
+    originals = (x.tobytes(), y.tobytes())
+    e, f = client_deflate(x, y, gb)
+    assert e is not x and f is not y
+    assert (x.tobytes(), y.tobytes()) == originals
+    assert frobenius_norm(f) <= frobenius_norm(y) + 1e-12
+    assert frobenius_norm(e) <= frobenius_norm(x) + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +395,33 @@ def test_privacy_no_sample_indexed_arrays_on_wire():
         assert not hasattr(p, "t")
         assert not hasattr(p, "e_residual")
     assert {MessageKind.BLOCK_UPDATE, MessageKind.GLOBAL_BLOCK} <= scanned
+
+
+def test_client_frames_carry_no_hyperparameters_bic_or_norms():
+    # the hub reads ranks, blocks and sample counts; a client's (SNR, tau),
+    # BIC and residual norms have no field on the wire, and acknowledgements
+    # carry nothing after the round and client id
+    clients = [make_dataset(42, n=23), make_dataset(43, n=29)]
+    sessions = {cid: ClientSession(cid, x, y) for cid, (x, y) in enumerate(clients)}
+    transport = LoopbackTransport(sessions)
+    federated_fit_over(transport, CFG)
+    fields = {
+        MessageKind.HELLO: {"feature_shape", "n_responses", "config"},
+        MessageKind.ACE_REPORT: {"skip", "ranks"},
+        MessageKind.BLOCK_UPDATE: {"n_samples", "block"},
+    }
+    seen = set()
+    for direction, _, frame in transport.frames:
+        msg = decode_message(frame)
+        if msg.kind in (MessageKind.DEFLATE_ACK, MessageKind.DONE):
+            assert len(frame) == HEADER_LEN + 8 and msg.payload is None
+        elif direction == "client->server":
+            assert set(vars(msg.payload)) == fields[msg.kind], msg.kind.name
+            assert getattr(msg.payload, "config", None) is None
+        if direction == "client->server":
+            seen.add(msg.kind)
+    assert seen == {MessageKind.HELLO, MessageKind.ACE_REPORT, MessageKind.BLOCK_UPDATE,
+                    MessageKind.DEFLATE_ACK}
 
 
 def test_transient_dropout_recovers_with_retry(monkeypatch):
@@ -610,12 +639,7 @@ CAPPED = FitConfig(max_blocks=2, epsilon=1e-8, grid=GRID, rank_cap=2)
     (dict(ranks=(2,)), CFG),
     (dict(ranks=(5, 1)), CFG),  # mode-2 extent is 4
     (dict(ranks=(3, 1)), CAPPED),
-    (dict(snr=30.0), CFG),
-    (dict(tau=96.0), CFG),
-    (dict(bic=float("nan")), CFG),
-    (dict(bic=float("inf")), CFG),
-], ids=["rank-0", "three-modes", "one-mode", "above-extent", "above-cap",
-        "snr-off-grid", "tau-off-grid", "bic-nan", "bic-inf"])
+], ids=["rank-0", "three-modes", "one-mode", "above-extent", "above-cap"])
 def test_hub_excludes_an_unsound_ace_report(changes, cfg):
     clients = [make_dataset(74), make_dataset(75)]
     sessions = {0: ClientSession(0, *clients[0]),
@@ -632,7 +656,7 @@ def test_hub_excludes_an_unsound_ace_report(changes, cfg):
 
 
 def _global_block(x, y, damage):
-    upd = client_local_block(x, y, ace(x, y, GRID), HyperAssign(25.0, 100.0, (2, 2)), CFG.rank_cap)
+    upd = client_local_block(x, y, ace(x, y, GRID), (2, 2), CFG.rank_cap)
     gb = aggregate_block([upd])
     if damage == "doubled-rows":
         gb.factors = [np.vstack([f, f]) for f in gb.factors]
@@ -658,6 +682,20 @@ def test_client_refuses_a_bad_global_block_before_touching_its_residuals(damage,
         session.handle(Message(MessageKind.GLOBAL_BLOCK, 1, 0, _global_block(x, y, damage)))
     assert session.e is e and session.f is f
     assert session.norms == norms and session.blocks_deflated == 0
+
+
+@pytest.mark.parametrize("msg", [
+    Message(MessageKind.GLOBAL_BLOCK, 1, 0, ZERO_BLOCK),
+    Message(MessageKind.HYPER_ASSIGN, 1, 0, HyperAssign((1, 1))),
+    Message(MessageKind.ERROR, 1, 0, ProtocolErrorInfo(int(ErrorCode.RETRY_ROUND), "retry")),
+    Message(MessageKind.DONE, 1, 0),
+], ids=lambda m: m.kind.name)
+def test_client_refuses_any_message_before_the_hubs_hello(msg):
+    x, y = make_dataset(77)
+    session = ClientSession(0, x, y)
+    with pytest.raises(ProtocolError, match="before the hub's HELLO"):
+        session.handle(msg)
+    assert session.e is x and session.blocks_deflated == 0 and not session.done
 
 
 def test_client_session_rejects_inf_data():
@@ -773,9 +811,8 @@ def test_socket_channel_reassembles_frames(case):
         frames = [encode_message(Message(MessageKind.GLOBAL_BLOCK, 1, 0, block))]
         assert len(frames[0]) > 200 * 1024
     else:
-        frames = [encode_message(Message(MessageKind.DEFLATE_ACK, 1, 0, DeflateAck(e_norm=2.5, f_norm=0.25))),
-                  encode_message(Message(MessageKind.HYPER_ASSIGN, 1, 0,
-                                         HyperAssign(snr=12.0, tau=97.0, target_ranks=(2, 1))))]
+        frames = [encode_message(Message(MessageKind.HYPER_ASSIGN, 1, 0, HyperAssign(target_ranks=(2, 1)))),
+                  encode_message(Message(MessageKind.DEFLATE_ACK, 1, 0))]
     if case == "one-byte-sends":
         frames = frames[:1]
     a, b = socket.socketpair()
@@ -837,7 +874,7 @@ def test_hub_drops_client_sending_corrupt_frame(says_hello, corrupt, shuts_down)
         result["live"] = transport.client_ids()
         transport.close()
 
-    hello = Message(MessageKind.HELLO, 0, 0, Hello(sample_count=29, feature_shape=(4, 3), n_responses=1))
+    hello = Message(MessageKind.HELLO, 0, 0, Hello(feature_shape=(4, 3), n_responses=1))
     raw = socket.create_connection(("127.0.0.1", port))
     st = threading.Thread(target=server)
     ct = threading.Thread(target=run_socket_client, args=("127.0.0.1", port, x, y),
