@@ -13,8 +13,10 @@ model's residual trace.  Written files:
 - ``federation.fbttr``: the model bytes of a 3-client loopback federation
   whose harmonised target ranks are lowered by one, so every client reruns
   its block at its own (SNR, tau) and truncates it to the target;
-- ``golden.json``: the SHA-256 of both models, a SHA-256 over every frame the
-  federation sent, and the numpy and BLAS fingerprint they were made on.
+- ``golden.json``: the SHA-256 of both models, of their predictions
+  (:func:`predictions_sha256`) and over every frame the federation sent, the
+  work each case did (:data:`COUNTED`, unconverged cells, and frames and bytes
+  in each direction), and the numpy and BLAS fingerprint they were made on.
 
 ``max_blocks`` equals the planted block count in both cases, so no noise
 block's near-tied (SNR, tau) choice can depend on the BLAS build.  A change
@@ -23,7 +25,9 @@ that alters model bytes on purpose regenerates the fixtures and says why.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import importlib
 import json
 import os
 import platform
@@ -34,6 +38,16 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent.parent / "src"
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+# the prediction batch spans at least three 4 MiB gather blocks of its samples
+BATCH_BYTES = 3 * (4 << 20)
+# work count -> the function whose calls it counts
+COUNTED = {
+    "cells": "sparse_tucker.f_mpstd_cov",
+    "sweeps": "sparse_tucker.prune",
+    "hooi_sweeps": "sparse_tucker._hooi_sweep",
+    "svds": "sparse_tucker._leading_vectors",
+    "reruns": "federated.f_mpstd",
+}
 
 
 def fingerprint() -> dict:
@@ -94,6 +108,55 @@ def federation():
 CASES = {"centralized": centralized, "federation": federation}
 
 
+def predictions_sha256(model) -> str:
+    """SHA-256 of ``model``'s predictions on a seeded standard-normal batch of
+    ``BATCH_BYTES // row bytes + 7`` rows, then on its first five rows one at a time."""
+    import numpy as np
+
+    shape = tuple(model.input_shape)
+    x = np.random.default_rng(0).standard_normal((BATCH_BYTES // (8 * int(np.prod(shape))) + 7,) + shape)
+    h = hashlib.sha256(model.predict(x).tobytes())
+    for i in range(5):
+        h.update(model.predict(x[i:i + 1]).tobytes())
+    return h.hexdigest()
+
+
+@contextlib.contextmanager
+def counting():
+    """Count the calls of every :data:`COUNTED` function, and the cells that
+    ended unconverged, while the block runs; yields the counts."""
+    counts = dict.fromkeys(list(COUNTED) + ["unconverged"], 0)
+    patched = []
+    for name, path in COUNTED.items():
+        module, attr = path.split(".")
+        module = importlib.import_module(f"fbttr.{module}")
+        real = getattr(module, attr)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            out = _real(*args, **kwargs)
+            if _name == "cells" and not out.converged:
+                counts["unconverged"] += 1
+            return out
+
+        patched.append((module, attr, real))
+        setattr(module, attr, counted)
+    try:
+        yield counts
+    finally:
+        for module, attr, real in patched:
+            setattr(module, attr, real)
+
+
+def frame_counts(frames) -> dict:
+    """Frames and bytes in each direction of a frame log."""
+    counts = {}
+    for direction, key in (("client->server", "to_hub"), ("server->client", "to_clients")):
+        sizes = [len(frame) for d, _, frame in frames if d == direction]
+        counts[f"frames_{key}"], counts[f"bytes_{key}"] = len(sizes), sum(sizes)
+    return counts
+
+
 def frames_sha256(frames) -> str:
     h = hashlib.sha256()
     for direction, cid, frame in frames:
@@ -106,12 +169,15 @@ def _build(out: Path) -> None:
     # runs in the pinned subprocess
     from fbttr import model_to_bytes
 
-    record = {"fingerprint": fingerprint(), "model_sha256": {}}
+    record = {"fingerprint": fingerprint(), "model_sha256": {}, "predictions_sha256": {}, "work": {}}
     for name, build in CASES.items():
-        model, frames = build()
+        with counting() as work:
+            model, frames = build()
         blob = model_to_bytes(model)
         (out / f"{name}.fbttr").write_bytes(blob)
         record["model_sha256"][name] = hashlib.sha256(blob).hexdigest()
+        record["predictions_sha256"][name] = predictions_sha256(model)
+        record["work"][name] = dict(work, **frame_counts(frames or []))
         if frames is not None:
             record["frames_sha256"] = frames_sha256(frames)
     (out / "golden.json").write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

@@ -2,9 +2,12 @@
 
 ``tests/golden/make_golden.py`` rebuilds the fixtures in a subprocess pinned
 to one BLAS thread.  On the numpy and BLAS fingerprint they were recorded on,
-model bytes and the federation's frames must match by SHA-256.  On any other
+model bytes, predictions and the federation's frames must match by SHA-256,
+and the work each case did must match count for count.  On any other
 fingerprint (another wheel or CPU) the bytes may differ in the last bits, so
-the decoded blocks, ``W``, ``Z`` and predictions are compared within 1e-12.
+the decoded blocks, ``W``, ``Z`` and predictions are compared within 1e-12,
+and the work counts within :data:`WORK_RTOL`, since a sweep count can move
+with the last bit of a convergence test.
 """
 
 import importlib.util
@@ -15,6 +18,8 @@ import numpy as np
 import pytest
 
 from fbttr import model_from_bytes
+
+WORK_RTOL = 0.1  # relative tolerance of a work count off the recorded fingerprint
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 _spec = importlib.util.spec_from_file_location("make_golden", GOLDEN / "make_golden.py")
@@ -50,6 +55,7 @@ def test_model_matches_its_golden_fixture(fresh, case, capsys):
     recorded, now = _record(GOLDEN), _record(fresh)
     if now["fingerprint"] == recorded["fingerprint"]:
         assert now["model_sha256"][case] == recorded["model_sha256"][case]
+        assert now["predictions_sha256"][case] == recorded["predictions_sha256"][case]
         if case == "federation":
             assert now["frames_sha256"] == recorded["frames_sha256"]
         return
@@ -60,3 +66,18 @@ def test_model_matches_its_golden_fixture(fresh, case, capsys):
     new = model_from_bytes((fresh / f"{case}.fbttr").read_bytes())
     x = np.random.default_rng(0).standard_normal((7,) + tuple(old.input_shape))
     _assert_models_close(old, new, x)
+
+
+@pytest.mark.parametrize("case", list(make_golden.CASES))
+def test_work_matches_its_golden_counts(fresh, case, capsys):
+    recorded, now = _record(GOLDEN), _record(fresh)
+    old, new = recorded["work"][case], now["work"][case]
+    assert set(new) == set(old)
+    if now["fingerprint"] == recorded["fingerprint"]:
+        assert new == old
+        return
+    with capsys.disabled():
+        print(f"\ngolden {case} work, recorded -> now: "
+              + ", ".join(f"{k} {old[k]} -> {new[k]}" for k in sorted(old)))
+    for k in old:
+        assert abs(new[k] - old[k]) <= WORK_RTOL * old[k], k
