@@ -10,7 +10,10 @@ is the only residual-sized array a deflation makes.  Prediction
 is two matrix products, y_hat = unfold(x, 1) @ W @ Z, where column k of W,
 vec(score_core_k x_2 P_k2 ... x_N P_kN) less its projections on earlier
 loadings g_j = vec(core_j x_2 P_j2 ... x_N P_jN), reproduces the extracted
-score vector exactly on the training tensor.
+score vector exactly on the training tensor.  The batch is unfolded by
+:func:`fbttr.tensor._sample_matrix`, which keeps the F-contiguous layout of
+``unfold(x, 1)``, so a wide batch gathered block by block predicts the same
+bits as one unfolded in one copy.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .sparse_tucker import DEFAULT_RANK_CAP, AceError, Block, HyperGrid, ace, coefficient
 from .tensor import (
-    _unfold,
+    _sample_matrix,
     as_matrix,
     as_tensor,
     frobenius_norm,
@@ -235,7 +238,7 @@ def predict(model: BttrModel, x_test) -> np.ndarray:
         raise ValueError(
             f"test tensor feature shape {x_test.shape[1:]} does not match model {model.input_shape}"
         )
-    return _unfold(x_test, 1) @ model.w @ model.z
+    return _sample_matrix(x_test) @ model.w @ model.z
 
 
 def residual_trace(model: BttrModel):
@@ -245,16 +248,14 @@ def residual_trace(model: BttrModel):
     return list(model.trace)
 
 
-def _prefix_scores(model: BttrModel, x, k: int) -> np.ndarray:
-    return _unfold(as_tensor(x, min_order=2), 1) @ model.w[:, :k] @ model.z[:k, :]
-
-
 def select_k_cv(x, y, cfg: FitConfig, folds: int, task: str = "regression") -> int:
     """Pick the block count by contiguous-fold cross-validation.
 
     Folds are contiguous sample ranges (the data may be a time series, so
     no shuffling).  Scores are mean Pearson correlation per response for
     regression and ROC-AUC for binary tasks; ties go to the smaller K.
+    Each validation fold is unfolded once, and the first k blocks score it
+    as ``U @ W[:, :k] @ Z[:k]``.
     """
     from .metrics import pearson_r, roc_auc
 
@@ -271,8 +272,9 @@ def select_k_cv(x, y, cfg: FitConfig, folds: int, task: str = "regression") -> i
     for fi, val_idx in enumerate(fold_indices):
         train_idx = np.setdiff1d(np.arange(n), val_idx)
         model = fit(x[train_idx], y[train_idx], cfg)
+        u = _sample_matrix(x[val_idx])
         for k in range(1, cfg.max_blocks + 1):
-            pred = _prefix_scores(model, x[val_idx], min(k, model.n_blocks))
+            pred = u @ model.w[:, :k] @ model.z[:k]  # all blocks when k > n_blocks
             try:
                 if task == "binary":
                     scores[fi, k - 1] = roc_auc(pred[:, 0], y[val_idx, 0])

@@ -13,6 +13,11 @@ remaining mode varying fastest.  Under this convention
 
 The regression predictor is built with mode products; this identity, with
 :func:`kron_factors` on the right, is the reference tests check it against.
+
+A batch of samples meets the predictor as its mode-1 unfolding, which is
+F-contiguous: the layout that fixes how BLAS multiplies it, hence the last
+bits of every prediction.  :func:`_sample_matrix` builds that same matrix,
+gathering a wide batch one block of samples at a time.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from typing import Mapping
 import numpy as np
 
 MAX_ORDER = 8
+GATHER_BYTES = 4 << 20  # a sample batch above this is unfolded one block of samples at a time
 
 __all__ = [
     "as_tensor",
@@ -141,6 +147,29 @@ def _unfold(t: np.ndarray, mode: int) -> np.ndarray:
     """Unchecked :func:`unfold` of an array the caller has validated."""
     k = mode - 1
     return t.transpose([k] + [i for i in range(t.ndim) if i != k]).reshape(t.shape[k], -1, order="F")
+
+
+def _sample_matrix(x: np.ndarray) -> np.ndarray:
+    """``_unfold(x, 1)`` of a validated, C-contiguous sample batch: the same
+    values in the same layout, so a product with it is the same BLAS call,
+    bit for bit.
+
+    The unfolding is a view of ``x`` when at most one feature extent exceeds
+    1, and otherwise an F-contiguous copy.  A batch of at most one block,
+    ``GATHER_BYTES // row bytes`` samples, is unfolded in one copy.  A larger
+    one is written into the F-ordered matrix one block at a time, so the
+    strided reads of each block stay in cache, where one copy of a wide
+    batch reads every sample's row at once.
+    """
+    n = x.shape[0]
+    step = max(1, GATHER_BYTES // (x.nbytes // n))
+    if n <= step or sum(e > 1 for e in x.shape[1:]) < 2:
+        return _unfold(x, 1)
+    out = np.empty((n, x.size // n), order="F")
+    samples = out.reshape(x.shape, order="F")  # a view: out[s] is samples[s] unfolded
+    for s in range(0, n, step):
+        samples[s:s + step] = x[s:s + step]
+    return out
 
 
 def mode_n_product(t, m, mode: int) -> np.ndarray:

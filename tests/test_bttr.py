@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbttr import bttr, sparse_tucker
+from fbttr import bttr, sparse_tucker, tensor
 from fbttr.bttr import (
     Block,
     FitConfig,
@@ -20,7 +20,15 @@ from fbttr.bttr import (
 )
 from fbttr.federated import run_federated_fit
 from fbttr.sparse_tucker import HyperGrid, ace, finalize_block
-from fbttr.tensor import frobenius_norm, kron_factors, multilinear_product, unfold, vec
+from fbttr.tensor import (
+    _sample_matrix,
+    _unfold,
+    frobenius_norm,
+    kron_factors,
+    multilinear_product,
+    unfold,
+    vec,
+)
 
 SMALL_GRID = HyperGrid(snr_values=(10.0, 25.0, 40.0), tau_values=(95.0, 99.0, 100.0))
 
@@ -324,6 +332,28 @@ def test_select_k_cv_planted_single_block():
     x, y, _ = plant_blocks(rng, 60, (5, 4), n_blocks=1, noise=0.02)
     cfg = FitConfig(max_blocks=3, grid=SMALL_GRID)
     assert select_k_cv(x, y, cfg, folds=3) == 1
+
+
+@pytest.mark.parametrize("seed, k", [(20, 2), (24, 3)])
+def test_select_k_cv_gathers_each_fold_once(monkeypatch, seed, k):
+    # k is what select_k_cv chose when it unfolded each fold once per prefix
+    rng = np.random.default_rng(seed)
+    x, y, _ = plant_blocks(rng, 60, (5, 4), n_blocks=2, m=2, noise=0.05)
+    gathered = []
+    monkeypatch.setattr(bttr, "_sample_matrix", lambda u: gathered.append(u.shape) or _sample_matrix(u))
+    assert select_k_cv(x, y, FitConfig(max_blocks=3, grid=SMALL_GRID), folds=3) == k
+    assert gathered == [(20, 5, 4)] * 3
+
+
+def test_predict_gathers_a_wide_batch_into_the_same_bits():
+    # several gather blocks of a serve-shaped batch, then a partial one
+    shape = (32, 16, 20)
+    rows = tensor.GATHER_BYTES // (8 * int(np.prod(shape)))
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((3 * rows + 7,) + shape)
+    model = bttr.BttrModel(blocks=[], w=rng.standard_normal((int(np.prod(shape)), 8)),
+                           z=rng.standard_normal((8, 2)), input_shape=shape)
+    assert predict(model, x).tobytes() == (_unfold(x, 1) @ model.w @ model.z).tobytes()
 
 
 def test_select_k_cv_fold_validation():
