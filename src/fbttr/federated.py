@@ -253,9 +253,10 @@ class ClientSession:
     is decided once per round, when the client reports: ``_round`` is
     (round, AceResult or None for a skip), which a retry reports again and a
     HYPER_ASSIGN builds on.  Any message but HELLO before the hub's config,
-    and a GLOBAL_BLOCK that does not fit the client's shapes, is not finite
-    or exceeds the rank cap, raise :class:`ProtocolError` before any
-    deflation.
+    a HYPER_ASSIGN naming the wrong number of feature modes or a target rank
+    outside 1 and the round's own rank, and a GLOBAL_BLOCK that does not fit
+    the client's shapes, is not finite or exceeds the rank cap, raise
+    :class:`ProtocolError` before any decomposition or deflation.
     """
 
     def __init__(self, client_id: int, x, y):
@@ -302,11 +303,19 @@ class ClientSession:
             raise ProtocolError(f"{msg.kind.name} arrived before the hub's HELLO")
         if msg.kind == MessageKind.HYPER_ASSIGN:
             rnd, own = self._round
+            target = msg.payload.target_ranks
+            if len(target) != self.e.ndim - 1:
+                raise ProtocolError(f"round {msg.round} assignment names {len(target)} feature modes, "
+                                    f"this client has {self.e.ndim - 1}")
             if rnd != msg.round or own is None:
                 return [self._msg(MessageKind.BLOCK_UPDATE, msg.round, BlockUpdate(self.e.shape[0]))]
+            ranks = own.block.feature_ranks
+            if not all(1 <= t <= r for t, r in zip(target, ranks)):
+                raise ProtocolError(f"round {msg.round} target ranks {target} outside 1..{ranks}")
             try:
-                update = client_local_block(self.e, self.f, own, msg.payload.target_ranks, self.cfg.rank_cap)
+                update = client_local_block(self.e, self.f, own, target, self.cfg.rank_cap)
             except (AceError, ProtocolError, ValueError) as e:
+                # a ProtocolError here is the rerun's own ranks falling below the checked target
                 info = ProtocolErrorInfo(code=int(ErrorCode.DECOMPOSITION_FAILED), detail=str(e))
                 return [self._msg(MessageKind.ERROR, msg.round, info)]
             return [self._msg(MessageKind.BLOCK_UPDATE, msg.round, update)]

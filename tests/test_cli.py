@@ -11,7 +11,7 @@ from fbttr.data import load_npz
 from fbttr.experiment import fit_config, parse_grid, training_view
 from fbttr.model_io import load_model, model_to_bytes
 from fbttr.transport import SocketChannel
-from fbttr.wire import Hello, Message, MessageKind
+from fbttr.wire import Hello, HyperAssign, Message, MessageKind
 
 
 def run_cli(*argv):
@@ -101,9 +101,9 @@ def test_fit_writes_the_model_of_the_shared_preparation(tmp_path, cv):
     assert (out / "model.fbttr").read_bytes() == expected
 
 
-def _hub_sending(block, cfg, listener):
+def _hub_sending(msg, cfg, listener):
     """A one-client hub that greets, takes the round-1 report, then sends
-    ``block``; with no ``cfg`` it sends ``block`` in place of its HELLO."""
+    ``msg``; with no ``cfg`` it sends ``msg`` in place of its HELLO."""
     conn, _ = listener.accept()
     channel = SocketChannel(conn)
     try:
@@ -111,18 +111,37 @@ def _hub_sending(block, cfg, listener):
         if cfg is not None:
             channel.send(Message(MessageKind.HELLO, 0, 0, Hello(config=cfg)))
             channel.recv(timeout=60)  # ACE_REPORT
-        channel.send(Message(MessageKind.GLOBAL_BLOCK, 1, 0, block))
-        channel.recv(timeout=30)  # no DEFLATE_ACK comes
+        channel.send(msg)
+        channel.recv(timeout=30)  # no reply comes
     except OSError:  # the client hangs up
         pass
     finally:
         channel.close()
 
 
-@pytest.mark.parametrize("damage", ["doubled-rows", "nan-core", "before-hello"])
-def test_federate_client_refuses_a_bad_global_block(tmp_path, capsys, damage):
+def _client_of_hub_sending(msg, cfg, data, capsys) -> str:
+    """Run a CLI client against :func:`_hub_sending`; assert it exits 3 and
+    return what it printed to stderr."""
     from fbttr.cli import EXIT_PROTOCOL
 
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    hub = threading.Thread(target=_hub_sending, args=(msg, cfg, listener), daemon=True)
+    hub.start()
+    try:
+        code = run_cli("federate", "--role", "client", "--round-timeout", "60",
+                       "--connect", f"127.0.0.1:{listener.getsockname()[1]}", "--data", str(data))
+    finally:
+        hub.join(timeout=60)
+        listener.close()
+    assert not hub.is_alive()
+    assert code == EXIT_PROTOCOL
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["doubled-rows", "nan-core", "before-hello"])
+def test_federate_client_refuses_a_bad_global_block(tmp_path, capsys, damage):
     data = tmp_path / "d.npz"
     run_cli("synth", "--out", str(data), "--shape", "30x4x3", "--blocks", "1",
             "--snr-db", "20", "--seed", "0")
@@ -134,21 +153,20 @@ def test_federate_client_refuses_a_bad_global_block(tmp_path, capsys, damage):
     cfg = FitConfig(max_blocks=2, grid=parse_grid("15:35:20", "97:100:3"))
     if damage == "before-hello":
         cfg = None  # the hub sends the block in place of its HELLO
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.bind(("127.0.0.1", 0))
-    listener.listen(1)
-    hub = threading.Thread(target=_hub_sending, args=(block, cfg, listener), daemon=True)
-    hub.start()
-    try:
-        code = run_cli("federate", "--role", "client", "--round-timeout", "60",
-                       "--connect", f"127.0.0.1:{listener.getsockname()[1]}", "--data", str(data))
-    finally:
-        hub.join(timeout=60)
-        listener.close()
-    assert not hub.is_alive()
-    assert code == EXIT_PROTOCOL
-    err = capsys.readouterr().err
+    msg = Message(MessageKind.GLOBAL_BLOCK, 1, 0, block)
+    err = _client_of_hub_sending(msg, cfg, data, capsys)
     assert ("before the hub's HELLO" if cfg is None else "global block does not fit") in err
+
+
+@pytest.mark.parametrize("target", [(1, 1, 1), (0, 1), (1, 99)], ids=["three-modes", "rank-0", "above-own"])
+def test_federate_client_refuses_a_bad_hyper_assign(tmp_path, capsys, target):
+    data = tmp_path / "d.npz"
+    run_cli("synth", "--out", str(data), "--shape", "30x4x3", "--blocks", "1",
+            "--snr-db", "20", "--seed", "0")
+    cfg = FitConfig(max_blocks=2, grid=parse_grid("15:35:20", "97:100:3"))
+    msg = Message(MessageKind.HYPER_ASSIGN, 1, 0, HyperAssign(target))
+    err = _client_of_hub_sending(msg, cfg, data, capsys)
+    assert "round 1 " + ("assignment names 3 feature modes" if len(target) == 3 else "target ranks") in err
 
 
 def test_fit_missing_file_exit_code(tmp_path):

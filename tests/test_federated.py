@@ -251,15 +251,27 @@ def test_hyper_assign_for_a_skipped_round_gets_a_skip_without_rerun(monkeypatch)
     assert reruns == []
 
 
-@pytest.mark.parametrize("assignment", [HyperAssign((0, 0)), HyperAssign((1, 1, 1))],
-                         ids=["rank-0", "three-modes"])
-def test_hyper_assign_out_of_range_gets_an_error(assignment):
+@pytest.mark.parametrize("assignment", [HyperAssign((0, 0)), HyperAssign((1, 1, 1)), HyperAssign((1, 99))],
+                         ids=["rank-0", "three-modes", "above-own"])
+def test_hyper_assign_out_of_range_gets_an_error(assignment, monkeypatch):
+    # a bad assignment is the hub's fault: the client raises before any rerun
     x, y = make_dataset(15)
     session = ClientSession(0, x, y)
     assert session.handle(hub_hello(CFG))[0].payload.skip is False
-    [reply] = session.handle(Message(MessageKind.HYPER_ASSIGN, 1, 0, assignment))
-    assert reply.kind == MessageKind.ERROR
-    assert reply.payload.code == ErrorCode.DECOMPOSITION_FAILED
+    monkeypatch.setattr(federated, "f_mpstd", None)
+    with pytest.raises(ProtocolError, match="round 1"):
+        session.handle(Message(MessageKind.HYPER_ASSIGN, 1, 0, assignment))
+
+
+def test_hyper_assign_mode_count_is_checked_for_a_skipped_round():
+    x, y = make_dataset(15)
+    session = ClientSession(0, x, y)
+    session.handle(hub_hello(CFG))
+    # round 2 has no report of this client's, so it would answer with a skip
+    [reply] = session.handle(Message(MessageKind.HYPER_ASSIGN, 2, 0, HyperAssign((1, 1))))
+    assert reply.kind == MessageKind.BLOCK_UPDATE and reply.payload.skip
+    with pytest.raises(ProtocolError, match="names 3 feature modes"):
+        session.handle(Message(MessageKind.HYPER_ASSIGN, 2, 0, HyperAssign((1, 1, 1))))
 
 
 def test_client_local_block_planted_rank1(monkeypatch):
