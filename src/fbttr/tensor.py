@@ -155,20 +155,26 @@ def _sample_matrix(x: np.ndarray) -> np.ndarray:
     bit for bit.
 
     The unfolding is a view of ``x`` when at most one feature extent exceeds
-    1, and otherwise an F-contiguous copy.  A batch of at most one block,
-    ``GATHER_BYTES // row bytes`` samples, is unfolded in one copy.  A larger
-    one is written into the F-ordered matrix one block at a time, so the
-    strided reads of each block stay in cache, where one copy of a wide
-    batch reads every sample's row at once.
+    1, and otherwise an F-contiguous copy.  A batch of at most
+    :data:`GATHER_BYTES` is unfolded in one copy.  A larger one is written
+    into the F-ordered matrix one block of ``GATHER_BYTES // row bytes``
+    samples at a time: the block's feature axes are first reversed into a
+    block-sized buffer, within each sample and so in cache, which puts its
+    rows in the unfolding's column order; the buffer is then transposed into
+    place.  One copy of a wide batch instead reads each cache line it
+    fetches for one value, and fetches it again for the next.
     """
+    if x.nbytes <= GATHER_BYTES or sum(e > 1 for e in x.shape[1:]) < 2:
+        return _unfold(x, 1)
     n = x.shape[0]
     step = max(1, GATHER_BYTES // (x.nbytes // n))
-    if n <= step or sum(e > 1 for e in x.shape[1:]) < 2:
-        return _unfold(x, 1)
     out = np.empty((n, x.size // n), order="F")
-    samples = out.reshape(x.shape, order="F")  # a view: out[s] is samples[s] unfolded
+    block = np.empty((step,) + x.shape[:0:-1])  # a sample's features reversed: mode 2 fastest
+    reversed_into = block.transpose([0] + list(range(x.ndim - 1, 0, -1)))
     for s in range(0, n, step):
-        samples[s:s + step] = x[s:s + step]
+        m = min(step, n - s)
+        reversed_into[:m] = x[s:s + m]
+        out[s:s + m] = block[:m].reshape(m, -1)
     return out
 
 
