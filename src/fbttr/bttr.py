@@ -286,8 +286,5 @@ def select_k_cv(x, y, cfg: FitConfig, folds: int, task: str = "regression") -> i
     mean_scores = scores.mean(axis=0)
     if not np.isfinite(mean_scores).any():
         raise FitError("no fold produced a valid validation score")
-    best = float(np.max(mean_scores))
-    for k in range(cfg.max_blocks):
-        if mean_scores[k] >= best - 1e-12:
-            return k + 1
-    return int(np.argmax(mean_scores)) + 1
+    # the smallest K within 1e-12 of the best score
+    return int(np.argmax(mean_scores >= np.max(mean_scores) - 1e-12)) + 1

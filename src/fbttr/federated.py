@@ -8,8 +8,9 @@ decomposition at its own selected (SNR, tau) and truncates it.  The hub
 aggregates the returned block parameters by a sample-count-weighted average
 after sign/permutation alignment and broadcasts the global block; the model
 is the list of broadcast blocks.  Clients recompute their score vector
-locally from the global factors and deflate their residuals; only ranks,
-cores, factors, loadings, scalars and sample counts ever cross the wire.
+locally from the global factors and deflate their residuals; a client's
+next round report is the hub's sign that it has.  Only ranks, cores,
+factors, loadings, scalars and sample counts ever cross the wire.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from .wire import (
     AceReport,
     BlockUpdate,
     ErrorCode,
-    Hello,
     HyperAssign,
+    Join,
     Message,
     MessageKind,
     ProtocolErrorInfo,
@@ -253,9 +254,9 @@ class ClientSession:
     is decided once per round, when the client reports: ``_round`` is
     (round, AceResult or None for a skip), which a retry reports again and a
     HYPER_ASSIGN builds on.  Any message but HELLO before the hub's config,
-    a HYPER_ASSIGN naming the wrong number of feature modes or a target rank
-    outside 1 and the round's own rank, and a GLOBAL_BLOCK that does not fit
-    the client's shapes, is not finite or exceeds the rank cap, raise
+    a JOIN, a HYPER_ASSIGN naming the wrong number of feature modes or a
+    target rank outside 1 and the round's own rank, and a GLOBAL_BLOCK that
+    does not fit the client's shapes, is not finite or exceeds the rank cap, raise
     :class:`ProtocolError` before any decomposition or deflation.
     """
 
@@ -271,9 +272,8 @@ class ClientSession:
         self.done = False
         self._round = (None, None)
 
-    def hello(self) -> Message:
-        payload = Hello(feature_shape=self.e.shape[1:], n_responses=self.f.shape[1])
-        return self._msg(MessageKind.HELLO, 0, payload)
+    def join(self) -> Message:
+        return self._msg(MessageKind.JOIN, 0, Join(self.e.shape[1:], self.f.shape[1]))
 
     def _msg(self, kind, rnd, payload=None) -> Message:
         return Message(kind=kind, round=rnd, client_id=self.client_id, payload=payload)
@@ -294,10 +294,8 @@ class ClientSession:
 
     def handle(self, msg: Message) -> list:
         if msg.kind == MessageKind.HELLO:
-            if msg.payload.config is None:
-                raise ProtocolError("hub HELLO carries no training configuration")
             self.client_id = msg.client_id
-            self.cfg = msg.payload.config
+            self.cfg = msg.payload
             return [self._ace_report(1)]
         if self.cfg is None:
             raise ProtocolError(f"{msg.kind.name} arrived before the hub's HELLO")
@@ -330,10 +328,8 @@ class ClientSession:
                     self.e, self.f = e, f
                     self.norms = (frobenius_norm(e), frobenius_norm(f))
                     self.blocks_deflated += 1
-            out = [self._msg(MessageKind.DEFLATE_ACK, msg.round)]
-            if msg.round < self.cfg.max_blocks:
-                out.append(self._ace_report(msg.round + 1))
-            return out
+            # the next round's report is the acknowledgement; the last round has none
+            return [self._ace_report(msg.round + 1)] if msg.round < self.cfg.max_blocks else []
         if msg.kind == MessageKind.DONE:
             self.done = True
             return []
@@ -349,11 +345,11 @@ class ClientSession:
 # hub orchestration
 # ---------------------------------------------------------------------------
 
-def _recv_expect(transport, cid: int, kinds, rnd: int) -> Message:
-    """Next message of an expected kind, discarding stale frames from aborted rounds."""
+def _recv_expect(transport, cid: int, kind: MessageKind, rnd: int) -> Message:
+    """Next message of the expected kind, discarding stale frames from aborted rounds."""
     for _ in range(MAX_STALE_FRAMES):
         msg = transport.recv(cid)
-        if msg.kind in kinds and msg.round == rnd:
+        if msg.kind == kind and msg.round == rnd:
             return msg
         if msg.kind == MessageKind.ERROR:
             return msg
@@ -377,7 +373,7 @@ def _roster(transport) -> list:
 
 
 def _handshake(transport, cfg: FitConfig) -> tuple:
-    """Check every client's HELLO against a shared feature space, then send the config.
+    """Check every client's JOIN against a shared feature space, then send the config.
 
     Returns the shared (feature shape, response count).  A client that drops
     out here leaves the federation; one whose shapes differ ends it.
@@ -385,11 +381,11 @@ def _handshake(transport, cfg: FitConfig) -> tuple:
     feature_shape = n_responses = None
     for cid in transport.client_ids():
         try:
-            msg = _recv_expect(transport, cid, {MessageKind.HELLO}, 0)
+            msg = _recv_expect(transport, cid, MessageKind.JOIN, 0)
         except ClientDropout:
             transport.drop(cid)
             continue
-        if msg.kind != MessageKind.HELLO:
+        if msg.kind != MessageKind.JOIN:
             raise ProtocolError(f"client {cid} failed handshake")
         p = msg.payload
         if feature_shape is None:
@@ -399,9 +395,8 @@ def _handshake(transport, cfg: FitConfig) -> tuple:
                 f"client {cid} shapes {p.feature_shape}/{p.n_responses} differ from "
                 f"{feature_shape}/{n_responses}; horizontal federation requires a shared feature space"
             )
-    reply = Hello(config=cfg)
     for cid in transport.client_ids():
-        _send_or_drop(transport, cid, Message(MessageKind.HELLO, 0, cid, reply))
+        _send_or_drop(transport, cid, Message(MessageKind.HELLO, 0, cid, cfg))
     _roster(transport)
     return feature_shape, n_responses
 
@@ -418,7 +413,7 @@ def _collect_reports(transport, live, rnd: int, feature_shape, cfg: FitConfig) -
     """Every live client's report; an ERROR reply or an unsound report counts as a skip."""
     reports = {}
     for cid in live:
-        msg = _recv_expect(transport, cid, {MessageKind.ACE_REPORT}, rnd)
+        msg = _recv_expect(transport, cid, MessageKind.ACE_REPORT, rnd)
         report = msg.payload if msg.kind == MessageKind.ACE_REPORT else AceReport(skip=True)
         reports[cid] = report if report.skip or _sound(report, feature_shape, cfg) else AceReport(skip=True)
     return reports
@@ -452,7 +447,7 @@ def _run_round(transport, live, rnd: int, feature_shape, n_responses: int, cfg: 
         transport.send(cid, Message(MessageKind.HYPER_ASSIGN, rnd, cid, assignments[cid]))
     updates = []
     for cid in sorted(active):
-        msg = _recv_expect(transport, cid, {MessageKind.BLOCK_UPDATE}, rnd)
+        msg = _recv_expect(transport, cid, MessageKind.BLOCK_UPDATE, rnd)
         if _aggregable(msg, feature_shape, n_responses, target):
             updates.append(msg.payload)
     if not updates:
@@ -485,15 +480,10 @@ def federated_fit_over(transport, cfg: FitConfig) -> BttrModel:
         if gb is None:
             break
         blocks.append(gb)
-        # broadcast and wait at the deflation barrier; the round is committed,
-        # so a failure here only excludes that client from future rounds
+        # the round is committed: a client that cannot take the block leaves;
+        # one that fails while deflating is a dropout at the next report read
         for cid in transport.client_ids():
             _send_or_drop(transport, cid, Message(MessageKind.GLOBAL_BLOCK, rnd, cid, gb))
-        for cid in transport.client_ids():
-            try:
-                _recv_expect(transport, cid, {MessageKind.DEFLATE_ACK}, rnd)
-            except ClientDropout:
-                transport.drop(cid)
 
     for cid in transport.client_ids():
         _send_or_drop(transport, cid, Message(MessageKind.DONE, rnd, cid))
@@ -525,7 +515,7 @@ def run_socket_client(host: str, port: int, x, y,
     channel = SocketChannel(sock)
     session = ClientSession(0, x, y)
     try:
-        channel.send(session.hello())
+        channel.send(session.join())
         while not session.done:
             msg = channel.recv(timeout=round_timeout)
             for out in session.handle(msg):

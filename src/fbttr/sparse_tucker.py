@@ -127,10 +127,12 @@ class Block:
         return tuple(f.shape[1] for f in self.factors)
 
     def fits(self, feature_shape, n_responses: int) -> bool:
-        """Whether factor ``i`` is ``feature_shape[i] x r_i``, ``core`` and
-        ``score_core`` are both ``1 x r_1 x ...`` and ``q`` is ``n_responses x 1``."""
+        """Whether factor ``i`` is ``feature_shape[i] x r_i`` with ``r_i >= 1``,
+        ``core`` and ``score_core`` are both ``1 x r_1 x ...`` and ``q`` is
+        ``n_responses x 1``."""
         return (
             [f.shape[0] for f in self.factors] == list(feature_shape)
+            and all(r >= 1 for r in self.feature_ranks)
             and self.core.shape == self.score_core.shape == (1,) + self.feature_ranks
             and self.q.shape == (n_responses, 1)
         )

@@ -53,9 +53,10 @@ class FrameLog(list):
 class LoopbackTransport:
     """Single-threaded in-process hub: client handlers run inline on send.
 
-    ``sessions`` maps client id to an object with ``hello() -> Message``
-    and ``handle(Message) -> list[Message]``.  Frames are fully encoded
-    and decoded on both legs so tests observe genuine wire bytes.
+    ``sessions`` maps client id to an object with ``join() -> Message``
+    and ``handle(Message) -> list[Message]``; every session's JOIN is queued
+    for the hub here.  Frames are fully encoded and decoded on both legs so
+    tests observe genuine wire bytes.
     """
 
     def __init__(self, sessions: dict):
@@ -64,7 +65,7 @@ class LoopbackTransport:
         self._inbox = {cid: deque() for cid in self.sessions}
         self._dropped = set()
         for cid in sorted(self.sessions):
-            self._push_to_server(cid, self.sessions[cid].hello())
+            self._push_to_server(cid, self.sessions[cid].join())
 
     def client_ids(self):
         return [cid for cid in sorted(self.sessions) if cid not in self._dropped]

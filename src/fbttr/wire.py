@@ -1,22 +1,23 @@
 """Wire protocol for federated training.
 
-Frame layout: 4-byte magic ``FBTP``, 1-byte version (0x03), 1-byte message
+Frame layout: 4-byte magic ``FBTP``, 1-byte version (0x04), 1-byte message
 kind, 4-byte little-endian payload length, then the payload.  Every
 payload starts with u32 round and u32 client id; the remaining fields are
 kind-specific, with shapes always preceding data and every f64 array
-preceded by a 4-byte element count.
+preceded by a 4-byte element count.  Each kind has one layout, and
+every kind but ``ERROR`` (a u32 code and a UTF-8 detail) travels one way.
 
-``HELLO`` travels both ways.  A client's carries its feature shape and
-response count; the hub's reply carries the whole
-:class:`~fbttr.bttr.FitConfig` after a u8 presence flag: u32 max_blocks,
-f64 epsilon, u32 rank_cap, then the SNR and tau grids as f64 arrays.
-``ACE_REPORT`` is a u8 skip flag and the client's feature ranks;
+A client opens with ``JOIN``, its feature shape and response count.  The
+hub's ``HELLO`` is the whole :class:`~fbttr.bttr.FitConfig`: u32
+max_blocks, f64 epsilon, u32 rank_cap, then the SNR and tau grids as f64
+arrays.  ``ACE_REPORT`` is a u8 skip flag and the client's feature ranks;
 ``HYPER_ASSIGN`` is the round's target ranks.  ``BLOCK_UPDATE`` is a u8
 skip flag, the u32 sample count and, unless skipped, a block;
 ``GLOBAL_BLOCK`` is a block.  Both hold a :class:`~fbttr.bttr.Block` in the
 layout of :meth:`fbttr.binio.Writer.block`, the same bytes a model file
-stores.  ``DEFLATE_ACK`` and ``DONE`` carry nothing after the round and
-client id.
+stores.  ``DONE`` carries nothing after the round and client id.  A
+client acknowledges a GLOBAL_BLOCK with its next round's ACE_REPORT, so
+no message says that it deflated.
 
 A payload field exists only if its receiver reads it.  Clients send ranks,
 block parameters (cores, factor matrices, response loadings, scalar
@@ -36,7 +37,7 @@ from .bttr import Block, FitConfig
 from .sparse_tucker import HyperGrid
 
 MAGIC = b"FBTP"
-VERSION = 3
+VERSION = 4
 HEADER_LEN = 10
 
 __all__ = [
@@ -46,7 +47,7 @@ __all__ = [
     "WireError",
     "MessageKind",
     "ErrorCode",
-    "Hello",
+    "Join",
     "AceReport",
     "HyperAssign",
     "BlockUpdate",
@@ -68,9 +69,10 @@ class MessageKind(IntEnum):
     HYPER_ASSIGN = 3
     BLOCK_UPDATE = 4
     GLOBAL_BLOCK = 5
-    DEFLATE_ACK = 6
+    # 6 is retired (version 3's DEFLATE_ACK) and not to be reused
     DONE = 7
     ERROR = 8
+    JOIN = 9
 
 
 class ErrorCode(IntEnum):
@@ -81,12 +83,11 @@ class ErrorCode(IntEnum):
 
 
 @dataclass
-class Hello:
-    """Roster entry from a client, or the hub's reply carrying the training configuration."""
+class Join:
+    """A client's roster entry: its feature shape and response count."""
 
-    feature_shape: tuple = ()
-    n_responses: int = 0
-    config: Optional[FitConfig] = None
+    feature_shape: tuple
+    n_responses: int
 
 
 @dataclass
@@ -147,14 +148,13 @@ def _read_config(r: Reader) -> FitConfig:
 def _write_payload(w: Writer, msg: Message) -> None:
     p = msg.payload
     k = msg.kind
-    if k == MessageKind.HELLO:
+    if k == MessageKind.JOIN:
         w.u32(len(p.feature_shape))
         for s in p.feature_shape:
             w.u32(s)
         w.u32(p.n_responses)
-        w.u8(0 if p.config is None else 1)
-        if p.config is not None:
-            _write_config(w, p.config)
+    elif k == MessageKind.HELLO:
+        _write_config(w, p)
     elif k == MessageKind.ACE_REPORT:
         w.u8(1 if p.skip else 0)
         w.u32(len(p.ranks))
@@ -171,7 +171,7 @@ def _write_payload(w: Writer, msg: Message) -> None:
             w.block(p.block)
     elif k == MessageKind.GLOBAL_BLOCK:
         w.block(p)
-    elif k in (MessageKind.DEFLATE_ACK, MessageKind.DONE):
+    elif k == MessageKind.DONE:
         pass
     elif k == MessageKind.ERROR:
         w.u32(p.code)
@@ -181,11 +181,10 @@ def _write_payload(w: Writer, msg: Message) -> None:
 
 
 def _read_payload(r: Reader, kind: MessageKind):
+    if kind == MessageKind.JOIN:
+        return Join(tuple(r.u32() for _ in range(r.u32())), r.u32())
     if kind == MessageKind.HELLO:
-        feature_shape = tuple(r.u32() for _ in range(r.u32()))
-        n_responses = r.u32()
-        config = _read_config(r) if r.u8() else None
-        return Hello(feature_shape, n_responses, config)
+        return _read_config(r)
     if kind == MessageKind.ACE_REPORT:
         skip = bool(r.u8())
         return AceReport(skip, tuple(r.u32() for _ in range(r.u32())))
@@ -196,7 +195,7 @@ def _read_payload(r: Reader, kind: MessageKind):
         return BlockUpdate(n_samples, None if skip else Block(*r.block()))
     if kind == MessageKind.GLOBAL_BLOCK:
         return Block(*r.block())
-    if kind in (MessageKind.DEFLATE_ACK, MessageKind.DONE):
+    if kind == MessageKind.DONE:
         return None
     if kind == MessageKind.ERROR:
         return ProtocolErrorInfo(r.u32(), r.string())

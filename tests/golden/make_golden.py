@@ -18,6 +18,12 @@ model's residual trace.  Written files:
   work each case did (:data:`COUNTED`, unconverged cells, and frames and bytes
   in each direction), and the numpy and BLAS fingerprint they were made on.
 
+The frames are wire version 4: each client sends a JOIN, the hub's HELLO
+is the ``FitConfig`` itself, and a client's next ACE_REPORT acknowledges a
+GLOBAL_BLOCK, so after the last round the hub sends DONE at once.  The
+federation's 3 clients send 15 frames: a JOIN, then per round an
+ACE_REPORT and a BLOCK_UPDATE.
+
 ``max_blocks`` equals the planted block count in both cases, so no noise
 block's near-tied (SNR, tau) choice can depend on the BLAS build.  A change
 that alters model bytes on purpose regenerates the fixtures and says why.

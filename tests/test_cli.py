@@ -11,7 +11,7 @@ from fbttr.data import load_npz
 from fbttr.experiment import fit_config, parse_grid, training_view
 from fbttr.model_io import load_model, model_to_bytes
 from fbttr.transport import SocketChannel
-from fbttr.wire import Hello, HyperAssign, Message, MessageKind
+from fbttr.wire import HyperAssign, Message, MessageKind
 
 
 def run_cli(*argv):
@@ -107,9 +107,9 @@ def _hub_sending(msg, cfg, listener):
     conn, _ = listener.accept()
     channel = SocketChannel(conn)
     try:
-        channel.recv(timeout=30)  # HELLO
+        channel.recv(timeout=30)  # JOIN
         if cfg is not None:
-            channel.send(Message(MessageKind.HELLO, 0, 0, Hello(config=cfg)))
+            channel.send(Message(MessageKind.HELLO, 0, 0, cfg))
             channel.recv(timeout=60)  # ACE_REPORT
         channel.send(msg)
         channel.recv(timeout=30)  # no reply comes

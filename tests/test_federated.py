@@ -35,11 +35,12 @@ from fbttr.wire import (
     AceReport,
     BlockUpdate,
     ErrorCode,
-    Hello,
     HyperAssign,
+    Join,
     Message,
     MessageKind,
     ProtocolErrorInfo,
+    WireError,
     decode_message,
     encode_message,
 )
@@ -210,7 +211,7 @@ def test_aggregate_orthonormalizes_averaged_factors():
 # ---------------------------------------------------------------------------
 
 def hub_hello(cfg, cid=0) -> Message:
-    return Message(MessageKind.HELLO, 0, cid, Hello(config=cfg))
+    return Message(MessageKind.HELLO, 0, cid, cfg)
 
 
 ZERO_BLOCK = Block(
@@ -227,8 +228,7 @@ def test_client_session_skips_below_epsilon_after_round_1():
     cfg = FitConfig(max_blocks=3, epsilon=1e-6, grid=GRID)
     assert session.handle(hub_hello(cfg))[0].kind == MessageKind.ACE_REPORT
     e, norms = session.e, session.norms
-    ack, report = session.handle(Message(MessageKind.GLOBAL_BLOCK, 1, 0, ZERO_BLOCK))
-    assert ack.kind == MessageKind.DEFLATE_ACK and ack.payload is None
+    [report] = session.handle(Message(MessageKind.GLOBAL_BLOCK, 1, 0, ZERO_BLOCK))
     assert session.e is e and session.norms == norms and session.blocks_deflated == 0
     assert report.round == 2 and report.payload.skip is True
     [upd] = session.handle(Message(MessageKind.HYPER_ASSIGN, 2, 0, HyperAssign((1, 1))))
@@ -243,7 +243,7 @@ def test_hyper_assign_for_a_skipped_round_gets_a_skip_without_rerun(monkeypatch)
     monkeypatch.setattr(federated, "f_mpstd", lambda *a, **k: reruns.append(a))
     session = ClientSession(0, x, y)
     session.handle(hub_hello(FitConfig(max_blocks=2, epsilon=10.0 * frobenius_norm(y), grid=GRID)))
-    _, report = session.handle(Message(MessageKind.GLOBAL_BLOCK, 1, 0, ZERO_BLOCK))
+    [report] = session.handle(Message(MessageKind.GLOBAL_BLOCK, 1, 0, ZERO_BLOCK))
     assert report.payload.skip is True
     [upd] = session.handle(Message(MessageKind.HYPER_ASSIGN, 2, 0, HyperAssign((1, 1))))
     assert upd.kind == MessageKind.BLOCK_UPDATE
@@ -411,29 +411,54 @@ def test_privacy_no_sample_indexed_arrays_on_wire():
 
 def test_client_frames_carry_no_hyperparameters_bic_or_norms():
     # the hub reads ranks, blocks and sample counts; a client's (SNR, tau),
-    # BIC and residual norms have no field on the wire, and acknowledgements
-    # carry nothing after the round and client id
+    # BIC and residual norms have no field on the wire, and DONE carries
+    # nothing after the round and client id
     clients = [make_dataset(42, n=23), make_dataset(43, n=29)]
     sessions = {cid: ClientSession(cid, x, y) for cid, (x, y) in enumerate(clients)}
     transport = LoopbackTransport(sessions)
     federated_fit_over(transport, CFG)
     fields = {
-        MessageKind.HELLO: {"feature_shape", "n_responses", "config"},
+        MessageKind.JOIN: {"feature_shape", "n_responses"},
         MessageKind.ACE_REPORT: {"skip", "ranks"},
         MessageKind.BLOCK_UPDATE: {"n_samples", "block"},
     }
     seen = set()
     for direction, _, frame in transport.frames:
         msg = decode_message(frame)
-        if msg.kind in (MessageKind.DEFLATE_ACK, MessageKind.DONE):
+        if msg.kind == MessageKind.DONE:
             assert len(frame) == HEADER_LEN + 8 and msg.payload is None
         elif direction == "client->server":
             assert set(vars(msg.payload)) == fields[msg.kind], msg.kind.name
-            assert getattr(msg.payload, "config", None) is None
-        if direction == "client->server":
             seen.add(msg.kind)
-    assert seen == {MessageKind.HELLO, MessageKind.ACE_REPORT, MessageKind.BLOCK_UPDATE,
-                    MessageKind.DEFLATE_ACK}
+    assert seen == set(fields)
+
+
+def test_each_kind_travels_one_way_in_one_layout():
+    # v4: a client JOINs, the hub's HELLO is the FitConfig itself, and a
+    # client's next ACE_REPORT is its deflation acknowledgement
+    clients = [make_dataset(44, n=23), make_dataset(45, n=29)]
+    sessions = {cid: ClientSession(cid, x, y) for cid, (x, y) in enumerate(clients)}
+    transport = LoopbackTransport(sessions)
+    federated_fit_over(transport, CFG)
+    kinds = {"client->server": set(), "server->client": set()}
+    for direction, _, frame in transport.frames:
+        msg = decode_message(frame)
+        kinds[direction].add(msg.kind)
+        if msg.kind == MessageKind.HELLO:
+            assert msg.payload == CFG
+    assert kinds["client->server"] <= {MessageKind.JOIN, MessageKind.ACE_REPORT,
+                                       MessageKind.BLOCK_UPDATE, MessageKind.ERROR}
+    assert kinds["server->client"] <= {MessageKind.HELLO, MessageKind.HYPER_ASSIGN,
+                                       MessageKind.GLOBAL_BLOCK, MessageKind.DONE, MessageKind.ERROR}
+    assert MessageKind.JOIN in kinds["client->server"] and MessageKind.HELLO in kinds["server->client"]
+    join = sessions[1].join()
+    for session in (ClientSession(0, *clients[0]), sessions[0]):  # before and after its HELLO
+        with pytest.raises(ProtocolError):
+            session.handle(join)
+    frame = bytearray(encode_message(Message(MessageKind.DONE, 1, 0)))
+    frame[4] = 3
+    with pytest.raises(WireError, match="version 3"):
+        decode_message(bytes(frame))
 
 
 def test_transient_dropout_recovers_with_retry(monkeypatch):
@@ -488,6 +513,26 @@ def test_permanent_dropout_excludes_client():
     model = federated_fit_over(transport, CFG)
     assert model.n_blocks >= 1
     assert transport.client_ids() == [0]
+
+
+def test_client_dying_while_deflating_drops_out_at_the_next_report():
+    # no message acknowledges a deflation: the dead client's missing round-2
+    # report fails the read, the round is retried, and the second failure drops it
+    class DiesWhileDeflating(ClientSession):
+        dead = False
+
+        def handle(self, msg):
+            self.dead = self.dead or msg.kind == MessageKind.GLOBAL_BLOCK
+            return [] if self.dead else super().handle(msg)
+
+    clients = [make_dataset(52), make_dataset(53)]
+    transport = LoopbackTransport({0: ClientSession(0, *clients[0]), 1: DiesWhileDeflating(1, *clients[1])})
+    model = federated_fit_over(transport, CFG)
+    assert model.n_blocks == 2
+    assert transport.client_ids() == [0]
+    retries = [cid for d, cid, f in transport.frames
+               if d == "server->client" and decode_message(f).kind == MessageKind.ERROR]
+    assert retries == [0, 1, 0]
 
 
 def test_every_client_dropping_during_retry_raises_protocol_error():
@@ -679,12 +724,16 @@ def _global_block(x, y, damage):
         gb.factors[0][0, 0] = np.inf
     elif damage == "two-row-q":
         gb.q = np.vstack([gb.q, gb.q])
+    elif damage == "zero-rank":
+        gb = Block(np.zeros((1, 0, 1)), np.zeros((1, 0, 1)), [np.zeros((4, 0)), np.eye(3)[:, :1]],
+                   gb.q, gb.d)
     return gb
 
 
 @pytest.mark.parametrize("damage,rank_cap", [
-    ("doubled-rows", 10), ("nan-core", 10), ("inf-factor", 10), ("two-row-q", 10), (None, 1),
-], ids=["doubled-rows", "nan-core", "inf-factor", "two-row-q", "rank-above-cap"])
+    ("doubled-rows", 10), ("nan-core", 10), ("inf-factor", 10), ("two-row-q", 10), ("zero-rank", 10),
+    (None, 1),
+], ids=["doubled-rows", "nan-core", "inf-factor", "two-row-q", "zero-rank", "rank-above-cap"])
 def test_client_refuses_a_bad_global_block_before_touching_its_residuals(damage, rank_cap):
     x, y = make_dataset(76)
     session = ClientSession(0, x, y)
@@ -774,7 +823,7 @@ def test_heterogeneous_feature_shapes_rejected():
 def test_hub_without_any_hello_raises_protocol_error():
     x, y = make_dataset(62)
     hub = LoopbackTransport({0: ClientSession(0, x, y)})
-    hub.drain(0)  # the only session's HELLO never reaches the hub
+    hub.drain(0)  # the only session's JOIN never reaches the hub
     with pytest.raises(ProtocolError, match="all clients dropped out"):
         federated_fit_over(hub, CFG)
 
@@ -824,7 +873,7 @@ def test_socket_channel_reassembles_frames(case):
         assert len(frames[0]) > 200 * 1024
     else:
         frames = [encode_message(Message(MessageKind.HYPER_ASSIGN, 1, 0, HyperAssign(target_ranks=(2, 1)))),
-                  encode_message(Message(MessageKind.DEFLATE_ACK, 1, 0))]
+                  encode_message(Message(MessageKind.DONE, 1, 0))]
     if case == "one-byte-sends":
         frames = frames[:1]
     a, b = socket.socketpair()
@@ -865,7 +914,7 @@ TIMEOUT = 20.0  # seconds; the hub and the real client wait equally long
 ], ids=["after-hello", "instead-of-hello", "non-utf8-error-after-hello", "non-utf8-error-then-silent"])
 def test_hub_drops_client_sending_corrupt_frame(says_hello, corrupt, shuts_down):
     # a raw peer, connected first so it is client 0, sends a corrupt frame,
-    # either after a valid HELLO (the round is retried without it) or in its
+    # either after a valid JOIN (the round is retried without it) or in its
     # place (the handshake drops it); either way the hub trains on the real
     # client alone.  The hub drops the peer as soon as its frame fails to
     # decode, so no retry read waits out the round timeout on it, even when
@@ -886,13 +935,13 @@ def test_hub_drops_client_sending_corrupt_frame(says_hello, corrupt, shuts_down)
         result["live"] = transport.client_ids()
         transport.close()
 
-    hello = Message(MessageKind.HELLO, 0, 0, Hello(feature_shape=(4, 3), n_responses=1))
+    join = Message(MessageKind.JOIN, 0, 0, Join(feature_shape=(4, 3), n_responses=1))
     raw = socket.create_connection(("127.0.0.1", port))
     st = threading.Thread(target=server)
     ct = threading.Thread(target=run_socket_client, args=("127.0.0.1", port, x, y),
                           kwargs=dict(round_timeout=TIMEOUT))
     try:
-        first = encode_message(hello) if says_hello else b""
+        first = encode_message(join) if says_hello else b""
         raw.sendall(first + corrupt)
         if shuts_down:
             raw.shutdown(socket.SHUT_WR)

@@ -111,7 +111,9 @@ def test_predictor_must_fit_the_blocks(corrupt):
     lambda b: replace(b, q=np.vstack([b.q, b.q])),
     lambda b: replace(b, core=np.concatenate([b.core, b.core], axis=1)),
     lambda b: replace(b, score_core=b.score_core[..., None]),
-], ids=["doubled-factor-rows", "missing-factor", "two-row-q", "core-ranks", "score-core-order"])
+    lambda b: replace(b, core=b.core[:, :0], score_core=b.score_core[:, :0],
+                      factors=[b.factors[0][:, :0]] + b.factors[1:]),
+], ids=["doubled-factor-rows", "missing-factor", "two-row-q", "core-ranks", "score-core-order", "zero-rank"])
 def test_blocks_must_fit_the_header(corrupt):
     model, _ = fitted_model()
     model.blocks[1] = corrupt(model.blocks[1])

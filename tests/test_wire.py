@@ -1,4 +1,6 @@
+import copy
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,15 +9,17 @@ from hypothesis import strategies as st
 
 from fbttr.binio import Writer
 from fbttr.bttr import Block, FitConfig
+from fbttr.federated import ClientSession
 from fbttr.sparse_tucker import HyperGrid
+from fbttr.transport import ProtocolError
 from fbttr.wire import (
     HEADER_LEN,
     MAGIC,
     VERSION,
     AceReport,
     BlockUpdate,
-    Hello,
     HyperAssign,
+    Join,
     Message,
     MessageKind,
     ProtocolErrorInfo,
@@ -33,10 +37,9 @@ def sample_messages():
     factors = [rng.normal(size=(5, 2)), rng.normal(size=(4, 2))]
     q = rng.normal(size=(2, 1))
     return [
-        Message(MessageKind.HELLO, 0, 3, Hello(
-            feature_shape=(5, 4), n_responses=2, config=FitConfig(
-                max_blocks=4, epsilon=1e-6, rank_cap=3,
-                grid=HyperGrid(snr_values=(1.0, 5.0), tau_values=(95.0, 100.0))))),
+        Message(MessageKind.HELLO, 0, 3, FitConfig(
+            max_blocks=4, epsilon=1e-6, rank_cap=3,
+            grid=HyperGrid(snr_values=(1.0, 5.0), tau_values=(95.0, 100.0)))),
         Message(MessageKind.ACE_REPORT, 1, 3, AceReport(skip=False, ranks=(2, 2))),
         Message(MessageKind.ACE_REPORT, 2, 1, AceReport(skip=True)),
         Message(MessageKind.HYPER_ASSIGN, 1, 3, HyperAssign(target_ranks=(2, 1))),
@@ -44,9 +47,9 @@ def sample_messages():
             n_samples=23, block=Block(core, score, factors, q, 1.5))),
         Message(MessageKind.BLOCK_UPDATE, 2, 3, BlockUpdate(n_samples=23)),
         Message(MessageKind.GLOBAL_BLOCK, 1, 3, Block(core, score, factors, q, -0.75)),
-        Message(MessageKind.DEFLATE_ACK, 1, 3),
         Message(MessageKind.DONE, 4, 3),
         Message(MessageKind.ERROR, 2, 3, ProtocolErrorInfo(code=1, detail="round aborted")),
+        Message(MessageKind.JOIN, 0, 3, Join(feature_shape=(5, 4), n_responses=2)),
     ]
 
 
@@ -64,7 +67,7 @@ def test_round_trip_byte_identical(msg):
 
 
 # SHA-256 of the BLOCK_UPDATE and GLOBAL_BLOCK payloads of sample_messages()
-# as wire version 1 encoded them; versions 2 and 3 changed only other kinds
+# as wire version 1 encoded them; versions 2 to 4 changed only other kinds
 BLOCK_PAYLOAD_SHA256 = {
     ("BLOCK_UPDATE", 1): "56a6a33bb7f622457d6dd0a453762f08c4fd5000dbed77473b8ac3b5f19a0aee",
     ("BLOCK_UPDATE", 2): "b4282ad55f30fd1c760106977b5216fc837a44cf6cdeb6dfc98a71940db53b8a",
@@ -85,7 +88,7 @@ def test_frame_header_and_length():
     msg = sample_messages()[0]
     frame = encode_message(msg)
     assert frame[:4] == MAGIC
-    assert frame[4] == VERSION == 3
+    assert frame[4] == VERSION == 4
     assert frame_length(frame[:HEADER_LEN]) == len(frame)
 
 
@@ -107,10 +110,9 @@ def test_decode_rejects_bad_frames():
     with pytest.raises(WireError):
         decode_message(frame + b"\x00")
     # a HELLO whose config FitConfig rejects: rank_cap 3 -> 0; rank_cap follows
-    # round, client id, 3 shape words, n_responses, the config flag,
-    # max_blocks and epsilon
+    # round, client id, max_blocks and epsilon
     bad_cap = bytearray(encode_message(sample_messages()[0]))
-    cap_at = HEADER_LEN + 6 * 4 + 1 + 4 + 8
+    cap_at = HEADER_LEN + 3 * 4 + 8
     assert bad_cap[cap_at:cap_at + 4] == (3).to_bytes(4, "little")
     bad_cap[cap_at] = 0
     with pytest.raises(WireError):
@@ -132,7 +134,7 @@ def test_decode_rejects_bad_frames():
 def test_hello_with_out_of_range_tau_is_a_wire_error():
     # HyperGrid rejects tau > 100 on construction, so set it after
     hello = sample_messages()[0]
-    hello.payload.config.grid.tau_values = (95.0, 150.0)
+    hello.payload.grid.tau_values = (95.0, 150.0)
     with pytest.raises(WireError, match="tau_values"):
         decode_message(encode_message(hello))
 
@@ -175,4 +177,44 @@ def test_damaged_frame_decodes_or_raises_wire_error(msg, mutation):
     try:
         decode_message(frame)
     except WireError:
+        pass
+
+
+HUB_KINDS = (MessageKind.HELLO, MessageKind.HYPER_ASSIGN, MessageKind.GLOBAL_BLOCK,
+             MessageKind.DONE, MessageKind.ERROR)
+
+
+def _fresh_session() -> ClientSession:
+    # client 3 with the feature shape and response count of sample_messages()
+    rng = np.random.default_rng(1)
+    return ClientSession(3, rng.normal(size=(12, 5, 4)), rng.normal(size=(12, 2)))
+
+
+@pytest.fixture(scope="module")
+def greeted():
+    # max_blocks=1: a handled round-1 GLOBAL_BLOCK starts no further extraction
+    hello = sample_messages()[0]
+    hello.payload = replace(hello.payload, max_blocks=1)
+    session = _fresh_session()
+    session.handle(hello)
+    return session
+
+
+@pytest.mark.parametrize("msg", [m for m in sample_messages() if m.kind in HUB_KINDS],
+                         ids=lambda m: f"{m.kind.name}-{m.round}")
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mutation=st.data())
+def test_client_survives_a_damaged_hub_frame(greeted, msg, mutation):
+    # a hub frame that still decodes after damage reaches a session that has
+    # taken a good HELLO (a fresh one for HELLO itself); the session may
+    # refuse it, but only with ProtocolError
+    frame = mutation.draw(damaged(encode_message(msg)))
+    try:
+        decoded = decode_message(frame)
+    except WireError:
+        return
+    session = _fresh_session() if msg.kind == MessageKind.HELLO else copy.deepcopy(greeted)
+    try:
+        session.handle(decoded)
+    except ProtocolError:
         pass
