@@ -5,8 +5,10 @@ with rank-one response deflation: each block contributes a unit score
 vector t_k, a response loading q_k and a coefficient d_k = u_k' t_k, and
 is subtracted from both residuals before the next extraction.  The
 predictor residual becomes E - t_k ⊗ (core_k x_2 P_k2 ... x_N P_kN): the
-block is expanded into feature space once, and its outer product with t_k
-is the only residual-sized array a deflation makes.  Prediction
+block is expanded into feature space once and subtracted one block of
+samples at a time.  A fit holds its data and one residual: the first
+deflation writes the residual into a new array, since the data is the
+caller's, and every later one writes it back into that array.  Prediction
 is two matrix products, y_hat = unfold(x, 1) @ W @ Z, where column k of W,
 vec(score_core_k x_2 P_k2 ... x_N P_kN) less its projections on earlier
 loadings g_j = vec(core_j x_2 P_j2 ... x_N P_jN), reproduces the extracted
@@ -25,6 +27,7 @@ import numpy as np
 
 from .sparse_tucker import DEFAULT_RANK_CAP, AceError, Block, HyperGrid, ace, coefficient
 from .tensor import (
+    _block_rows,
     _sample_matrix,
     as_matrix,
     as_tensor,
@@ -165,21 +168,29 @@ def materialize_predictor(blocks, input_shape) -> tuple:
     return w, z
 
 
-def deflate(e, f, core, factors, q, d, t) -> tuple:
+def deflate(e, f, core, factors, q, d, t, *, out=None) -> tuple:
     """(E - t ⊗ (core x_2 P_2 ... x_N P_N), F - d t q'): the rank-one
     deflation of the residuals by one block, with d the :func:`coefficient`
     of F on (q, t).
 
-    The block is expanded once, at the feature shape, and the outer product
-    with the score ``t`` is written into the one new residual-sized array,
-    which then takes E minus itself in place.  ``core`` must have mode-1
-    extent 1.
+    The block is expanded once, at the feature shape.  The predictor
+    residual is written into ``out``, ``e`` itself to deflate in place, or
+    into one new array when ``out`` is None.  It is written one block of
+    :func:`~fbttr.tensor._block_rows` samples at a time: the block's outer
+    product with ``t``, then E minus it, the same IEEE operations on every
+    entry as on the whole tensor.  ``core`` must have mode-1 extent 1.
     """
     g = expand(core, factors)
     if g.shape[0] != 1:
         raise ValueError(f"deflation needs a core of mode-1 extent 1, got shape {g.shape}")
-    out = np.multiply(np.reshape(t, (e.shape[0],) + (1,) * (e.ndim - 1)), g)
-    np.subtract(e, out, out=out)
+    t_col = np.reshape(t, (e.shape[0],) + (1,) * (e.ndim - 1))
+    out = np.empty(e.shape) if out is None else out
+    step = _block_rows(e)
+    for s in range(0, e.shape[0], step):
+        rows = slice(s, s + step)
+        # in place, the outer product needs a block of its own
+        tg = np.multiply(t_col[rows], g, out=None if out is e else out[rows])
+        np.subtract(e[rows], tg, out=out[rows])
     return out, f - d * (t @ q.T)
 
 
@@ -199,7 +210,7 @@ def fit(x, y, cfg: FitConfig, normalization: Optional[NormStats] = None) -> Bttr
     if y.shape[0] != x.shape[0]:
         raise ValueError(f"sample count mismatch: x has {x.shape[0]}, y has {y.shape[0]}")
 
-    e, f = x, y  # deflation builds new residuals and never writes to these
+    e, f = x, y  # the first deflation makes the residual; x and y are never written
     blocks = []
     trace = [(frobenius_norm(e), frobenius_norm(f))]
     for k in range(cfg.max_blocks):
@@ -212,7 +223,7 @@ def fit(x, y, cfg: FitConfig, normalization: Optional[NormStats] = None) -> Bttr
                 raise FitError(f"no block could be extracted: {err}") from err
             break
         b = a.block
-        e, f = deflate(e, f, b.core, b.factors, b.q, b.d, a.t)
+        e, f = deflate(e, f, b.core, b.factors, b.q, b.d, a.t, out=None if e is x else e)
         blocks.append(b)
         trace.append((frobenius_norm(e), frobenius_norm(f)))
 

@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import as_tensor, frobenius_norm, multilinear_product
+from .tensor import _mode_product_view, as_matrix, as_tensor, frobenius_norm, multilinear_product
 
 TASKS = ("regression", "binary", "survival")
 
@@ -245,9 +245,12 @@ def _orthonormal_columns(rng, rows, cols):
 
 
 def _add_noise_at_snr(rng, clean, snr_db):
+    """``clean + scale * noise`` at the requested SNR, built in the noise array."""
     noise = rng.normal(size=clean.shape)
     scale = frobenius_norm(clean) / (frobenius_norm(noise) * 10.0 ** (snr_db / 20.0))
-    return clean + scale * noise
+    noise *= scale
+    noise += clean  # IEEE addition commutes: the same bits as clean + scale * noise
+    return noise
 
 
 def make_synthetic(shape, n_blocks: int, noise_snr_db=None, seed: int = 0,
@@ -259,6 +262,12 @@ def make_synthetic(shape, n_blocks: int, noise_snr_db=None, seed: int = 0,
     recoverable in isolation.  ``noise_snr_db=None`` or ``+inf`` gives the
     exact noiseless construction, and NaN or ``-inf`` is a
     :class:`DataError`; a fixed seed gives bit-identical output.
+
+    Each planted block is added into ``x_clean`` in place, its last mode
+    product read through the transposed view of its ``np.dot`` output, and
+    the noise is scaled and added in its own array: the bits of
+    ``x_clean + block`` and ``clean + scale * noise`` with one data-sized
+    temporary at a time.
     """
     noiseless = noise_snr_db is None or noise_snr_db == math.inf
     if not noiseless and not math.isfinite(noise_snr_db):
@@ -293,8 +302,8 @@ def make_synthetic(shape, n_blocks: int, noise_snr_db=None, seed: int = 0,
         core = rng.normal(size=(1,) + ranks)
         core *= 2.0 * 0.7**k / frobenius_norm(core)
         fmap = {1: t}
-        fmap.update({i + 2: p for i, p in enumerate(ps)})
-        x_clean = x_clean + multilinear_product(core, fmap)
+        fmap.update({i + 2: p for i, p in enumerate(ps[:-1])})
+        x_clean += _mode_product_view(multilinear_product(core, fmap), as_matrix(ps[-1]), len(shape))
         q = q_all[:, k % q_all.shape[1]:k % q_all.shape[1] + 1]
         d = 3.0 * 0.8**k
         y_clean = y_clean + d * (t @ q.T)

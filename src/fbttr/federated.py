@@ -127,21 +127,23 @@ def client_local_block(e, f, own: AceResult, target_ranks, rank_cap: int) -> Blo
     return BlockUpdate(e.shape[0], block_from(e, f, res)[0])
 
 
-def client_deflate(e, f, gb: Block) -> tuple:
+def client_deflate(e, f, gb: Block, *, out=None) -> tuple:
     """Deflate the local residuals ``e``, ``f`` against the broadcast global block.
 
     The score vector is recomputed locally from the global factors and
     score core, the predictor residual loses its own projection onto
     (t, factors), and the response residual is deflated with the global
     loading but the locally fitted coefficient.  Returns the new residuals,
-    or ``e`` and ``f`` themselves when there is nothing to remove.
+    the predictor one written into ``out`` as :func:`~fbttr.bttr.deflate`
+    does, or ``e`` and ``f`` themselves, unwritten, when there is nothing
+    to remove.
     """
     try:
         t, local_core, _ = finalize_block(e, gb.score_core, gb.factors)
     except AceError:
         # residual has no component along the global block
         return e, f
-    return deflate(e, f, local_core, gb.factors, gb.q, coefficient(f, gb.q, t), t)
+    return deflate(e, f, local_core, gb.factors, gb.q, coefficient(f, gb.q, t), t, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +250,13 @@ def aggregate_block(updates) -> Block:
 class ClientSession:
     """One client's whole state and its protocol driver.
 
-    ``e``, ``f`` are the residuals (the checked inputs, never copied or
-    written, until the first deflation) and ``norms`` their norms, taken
-    here and after each deflation; neither leaves the client.  The stop rule
+    ``e``, ``f`` are the residuals and ``norms`` their norms, taken here and
+    after each deflation; neither leaves the client.  Until the first
+    deflation the residuals are the checked inputs, which are never written;
+    that deflation writes ``e`` into a new array, and every later one
+    deflates it in place.  Every check on a GLOBAL_BLOCK, including the
+    score direction :func:`client_deflate` tests, comes before that write,
+    so a refused block leaves the residuals as they were.  The stop rule
     is decided once per round, when the client reports: ``_round`` is
     (round, AceResult or None for a skip), which a retry reports again and a
     HYPER_ASSIGN builds on.  Any message but HELLO before the hub's config,
@@ -323,8 +329,8 @@ class ClientSession:
                     and all(r <= self.cfg.rank_cap for r in gb.feature_ranks)):
                 raise ProtocolError(f"round {msg.round} global block does not fit this client")
             if not self.cfg.stops(*self.norms):
-                e, f = client_deflate(self.e, self.f, gb)
-                if e is not self.e:
+                e, f = client_deflate(self.e, self.f, gb, out=self.e if self.blocks_deflated else None)
+                if f is not self.f:  # else the block had no direction here, and nothing was written
                     self.e, self.f = e, f
                     self.norms = (frobenius_norm(e), frobenius_norm(f))
                     self.blocks_deflated += 1

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .tensor import (
+    _block_rows,
     _mode_product,
     _unfold,
     as_matrix,
@@ -427,8 +428,20 @@ def finalize_block(x, core, factors):
     core whose vectorisation maps the factor-projected x onto t exactly.
     ``x`` is projected onto the factors once, ``proj = x x_2 P_2' ... x_N P_N'``;
     t is read off ``proj`` and block_core is ``proj x_1 t'``.
+
+    ``proj`` is written into one ``(n, r_2, ..., r_N)`` array, one block of
+    :func:`~fbttr.tensor._block_rows` samples at a time, so a wide ``x`` is
+    never transposed whole; data of at most ``GATHER_BYTES`` is one block,
+    the whole-tensor product itself.  Beyond that, BLAS may round an entry
+    of a product over a block's fewer columns differently, so ``proj`` can
+    differ from the whole-tensor product in its last bits.
     """
-    proj = multilinear_product(x, {n + 2: f.T for n, f in enumerate(factors)})
+    x = np.asarray(x)
+    projectors = {n + 2: f.T for n, f in enumerate(factors)}
+    proj = np.empty(x.shape[:1] + tuple(f.shape[1] for f in factors))
+    step = _block_rows(x)
+    for s in range(0, x.shape[0], step):
+        proj[s:s + step] = multilinear_product(x[s:s + step], projectors)
     t_raw = _unfold(proj, 1) @ vec(core)
     rho = float(np.linalg.norm(t_raw))
     if rho == 0.0 or not math.isfinite(rho):

@@ -17,7 +17,8 @@ The regression predictor is built with mode products; this identity, with
 A batch of samples meets the predictor as its mode-1 unfolding, which is
 F-contiguous: the layout that fixes how BLAS multiplies it, hence the last
 bits of every prediction.  :func:`_sample_matrix` builds that same matrix,
-gathering a wide batch one block of samples at a time.
+gathering a wide batch one block of samples at a time.  A wide fit walks its
+data in the same blocks (:func:`_block_rows`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,10 @@ from typing import Mapping
 import numpy as np
 
 MAX_ORDER = 8
-GATHER_BYTES = 4 << 20  # a sample batch above this is unfolded one block of samples at a time
+# A tensor of samples above this many bytes is unfolded for prediction, and
+# projected and deflated in a fit, one block of samples at a time, each block
+# at most this size (and at least one sample).
+GATHER_BYTES = 4 << 20
 
 __all__ = [
     "as_tensor",
@@ -126,6 +130,16 @@ def _checked_factor(t: np.ndarray, m, mode: int) -> np.ndarray:
     return m
 
 
+def _mode_product_view(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
+    """The values of :func:`_mode_product` as a transposed view of the
+    ``np.dot`` output, for a caller that reads them once."""
+    k = mode - 1
+    rest = [i for i in range(t.ndim) if i != k]
+    moved = t.transpose([k] + rest).reshape(t.shape[k], -1)
+    out = np.dot(m, moved).reshape([m.shape[0]] + [t.shape[i] for i in rest])
+    return out.transpose(list(range(1, mode)) + [0] + list(range(mode, t.ndim)))
+
+
 def _mode_product(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
     """Unchecked mode-n product of arrays the caller has validated.
 
@@ -134,19 +148,19 @@ def _mode_product(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
     copy of ``t`` is dropped before the contiguous result is made, as it is
     when ``tensordot`` returns.
     """
-    k = mode - 1
-    rest = [i for i in range(t.ndim) if i != k]
-    moved = t.transpose([k] + rest).reshape(t.shape[k], -1)
-    out = np.dot(m, moved).reshape([m.shape[0]] + [t.shape[i] for i in rest])
-    del moved
-    back = list(range(1, mode)) + [0] + list(range(mode, t.ndim))  # np.moveaxis(out, 0, k)
-    return np.ascontiguousarray(out.transpose(back))
+    return np.ascontiguousarray(_mode_product_view(t, m, mode))
 
 
 def _unfold(t: np.ndarray, mode: int) -> np.ndarray:
     """Unchecked :func:`unfold` of an array the caller has validated."""
     k = mode - 1
     return t.transpose([k] + [i for i in range(t.ndim) if i != k]).reshape(t.shape[k], -1, order="F")
+
+
+def _block_rows(x: np.ndarray) -> int:
+    """Samples per block of a sample-first ``x``: at most :data:`GATHER_BYTES`
+    of them and at least one, so all of ``x`` when it fits."""
+    return max(1, GATHER_BYTES // (x.nbytes // x.shape[0]))
 
 
 def _sample_matrix(x: np.ndarray) -> np.ndarray:
@@ -157,8 +171,8 @@ def _sample_matrix(x: np.ndarray) -> np.ndarray:
     The unfolding is a view of ``x`` when at most one feature extent exceeds
     1, and otherwise an F-contiguous copy.  A batch of at most
     :data:`GATHER_BYTES` is unfolded in one copy.  A larger one is written
-    into the F-ordered matrix one block of ``GATHER_BYTES // row bytes``
-    samples at a time: the block's feature axes are first reversed into a
+    into the F-ordered matrix one block of :func:`_block_rows` samples at a
+    time: the block's feature axes are first reversed into a
     block-sized buffer, within each sample and so in cache, which puts its
     rows in the unfolding's column order; the buffer is then transposed into
     place.  One copy of a wide batch instead reads each cache line it
@@ -166,8 +180,7 @@ def _sample_matrix(x: np.ndarray) -> np.ndarray:
     """
     if x.nbytes <= GATHER_BYTES or sum(e > 1 for e in x.shape[1:]) < 2:
         return _unfold(x, 1)
-    n = x.shape[0]
-    step = max(1, GATHER_BYTES // (x.nbytes // n))
+    n, step = x.shape[0], _block_rows(x)
     out = np.empty((n, x.size // n), order="F")
     block = np.empty((step,) + x.shape[:0:-1])  # a sample's features reversed: mode 2 fastest
     reversed_into = block.transpose([0] + list(range(x.ndim - 1, 0, -1)))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbttr import bttr, sparse_tucker, tensor
+from fbttr.data import make_synthetic
 from fbttr.bttr import (
     Block,
     FitConfig,
@@ -325,6 +326,102 @@ def test_deflate_allocates_one_residual():
         tracemalloc.stop()
     assert out.shape == e.shape
     assert peak <= 1.25 * e.nbytes
+
+
+def _whole_block(x, core, factors):
+    # finalize_block before it projected block by block: one multilinear_product
+    proj = multilinear_product(x, {n + 2: f.T for n, f in enumerate(factors)})
+    t_raw = _unfold(proj, 1) @ vec(core)
+    rho = float(np.linalg.norm(t_raw))
+    t = (t_raw / rho).reshape(-1, 1)
+    return t, multilinear_product(proj, {1: t.T}), core / rho
+
+
+def _whole_deflation(e, t, core, factors):
+    # deflate before it worked block by block: t ⊗ g written whole, then E minus it
+    g = bttr.expand(core, factors)
+    return e - np.reshape(t, (e.shape[0],) + (1,) * (e.ndim - 1)) * g
+
+
+@pytest.mark.parametrize("size", ["1", "b-1", "b", "b+1", "2b+1"])
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_block_by_block_projection_and_deflation_are_the_whole_tensor_ones(order, size, data):
+    # GATHER_BYTES is set so that a block holds b samples
+    features = tuple(data.draw(st.lists(st.integers(1, 4), min_size=order - 1, max_size=order - 1)))
+    ranks = tuple(data.draw(st.integers(1, ext)) for ext in features)
+    row_bytes = 8 * int(np.prod(features))
+    b = data.draw(st.integers(2, 5))
+    gather_bytes = b * row_bytes + data.draw(st.integers(0, row_bytes - 1))
+    n = {"1": 1, "b-1": b - 1, "b": b, "b+1": b + 1, "2b+1": 2 * b + 1}[size]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n,) + features)
+    factors = [random_orthonormal(rng, ext, r) for ext, r in zip(features, ranks)]
+    core = rng.standard_normal((1,) + ranks)
+    f, q = rng.standard_normal((n, 1)), np.ones((1, 1))
+    before = x.tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor, "GATHER_BYTES", gather_bytes)
+        got = finalize_block(x, core, factors)
+        t, block_core = got[0], got[1]
+        new, _ = deflate(x, f, block_core, factors, q, 0.5, t)
+        owned = x.copy()
+        in_place, _ = deflate(owned, f, block_core, factors, q, 0.5, t, out=owned)
+    assert x.tobytes() == before and in_place is owned
+    ref_e = _whole_deflation(x, t, block_core, factors)
+    assert new.tobytes() == ref_e.tobytes() and in_place.tobytes() == ref_e.tobytes()
+    for a, ref in zip(got, _whole_block(x, core, factors)):
+        assert a.shape == ref.shape
+        if n <= b:  # one block: the whole-tensor code itself
+            assert a.tobytes() == ref.tobytes()
+        else:  # BLAS may sum a product of fewer columns in another order
+            assert np.max(np.abs(a - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_fit_deflates_one_residual_in_place_and_never_writes_its_input(monkeypatch):
+    # blocks of 6 samples over a 20-sample set, the last one of 2
+    rng = np.random.default_rng(22)
+    x, y, _ = plant_blocks(rng, 20, (5, 4, 3), n_blocks=3, noise=0.05)
+    monkeypatch.setattr(tensor, "GATHER_BYTES", 6 * 8 * 60)
+    calls, real = [], bttr.deflate
+
+    def spy(e, f, core, factors, q, d, t, *, out=None):
+        before = e.copy()
+        res = real(e, f, core, factors, q, d, t, out=out)
+        calls.append((before, out, res[0], res[0].tobytes(), core, factors, t))
+        return res
+
+    monkeypatch.setattr(bttr, "deflate", spy)
+    originals = (x.tobytes(), y.tobytes())
+    model = fit(x, y, FitConfig(max_blocks=3, grid=SMALL_GRID))
+    assert model.n_blocks == 3 and len(calls) == 3
+    assert (x.tobytes(), y.tobytes()) == originals
+    residual = calls[0][2]
+    assert calls[0][1] is None and not np.shares_memory(residual, x)
+    assert all(out is residual and e is residual for _, out, e, *_ in calls[1:])
+    for before, _, _, after, core, factors, t in calls:
+        assert after == _whole_deflation(before, t, core, factors).tobytes()
+
+
+def test_a_wide_fit_and_set_hold_one_residual_beyond_their_data(monkeypatch):
+    # a 7.5 MiB set in 256 KiB blocks; before, the fit peaked at 2.19x its
+    # data above its inputs and the generator at 3.18x its output
+    monkeypatch.setattr(tensor, "GATHER_BYTES", 256 << 10)
+    tracemalloc.start()
+    try:
+        ds, truth = make_synthetic((120, 32, 16, 20), n_blocks=3, noise_snr_db=10.0, seed=1)
+        synth_peak = tracemalloc.get_traced_memory()[1]
+        del truth
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        model = fit(ds.x, ds.y, FitConfig(max_blocks=3, grid=HyperGrid((30.0,), (100.0,))))
+        fit_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert model.n_blocks == 3
+    assert synth_peak <= 2.5 * ds.x.nbytes
+    assert fit_peak <= 1.3 * ds.x.nbytes
 
 
 def test_select_k_cv_planted_single_block():

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from fbttr import federated
+from fbttr import federated, tensor
 from fbttr.bttr import Block, FitConfig, FitError, fit, predict
 from fbttr.data import make_synthetic
 from fbttr.federated import (
@@ -743,6 +743,46 @@ def test_client_refuses_a_bad_global_block_before_touching_its_residuals(damage,
         session.handle(Message(MessageKind.GLOBAL_BLOCK, 1, 0, _global_block(x, y, damage)))
     assert session.e is e and session.f is f
     assert session.norms == norms and session.blocks_deflated == 0
+
+
+def test_client_refuses_a_bad_global_block_without_writing_its_own_residual():
+    # after the first deflation the session owns its residual and deflates it
+    # in place, so a refused block, or one with no direction here, must leave it
+    x, y = make_dataset(78)
+    session = ClientSession(0, x, y)
+    session.handle(hub_hello(FitConfig(max_blocks=3, epsilon=1e-8, grid=GRID)))
+    session.handle(Message(MessageKind.GLOBAL_BLOCK, 1, 0, _global_block(x, y, None)))
+    e, f, norms = session.e, session.f, session.norms
+    assert session.blocks_deflated == 1 and not np.shares_memory(e, x)
+    residual = e.tobytes()
+    with pytest.raises(ProtocolError, match="global block"):
+        session.handle(Message(MessageKind.GLOBAL_BLOCK, 2, 0, _global_block(x, y, "nan-core")))
+    session.handle(Message(MessageKind.GLOBAL_BLOCK, 2, 0, ZERO_BLOCK))
+    assert session.e is e and session.f is f and session.e.tobytes() == residual
+    assert session.norms == norms and session.blocks_deflated == 1
+
+
+def test_clients_deflate_their_own_residual_in_place_and_never_write_their_data(monkeypatch):
+    # blocks of 4 samples, so every deflation and projection runs block by block
+    clients = [make_dataset(80, n=18), make_dataset(81, n=15)]
+    monkeypatch.setattr(tensor, "GATHER_BYTES", 4 * 8 * 12)
+    originals = [(x.tobytes(), y.tobytes()) for x, y in clients]
+    sessions = {cid: ClientSession(cid, x, y) for cid, (x, y) in enumerate(clients)}
+    calls = []
+    real = federated.client_deflate
+
+    def spy(e, f, gb, *, out=None):
+        got = real(e, f, gb, out=out)
+        calls.append("new" if out is None else "in place" if got[0] is out is e else "?")
+        return got
+
+    monkeypatch.setattr(federated, "client_deflate", spy)
+    model = federated_fit_over(LoopbackTransport(sessions), FitConfig(max_blocks=3, grid=GRID))
+    assert model.n_blocks == 3
+    assert [(x.tobytes(), y.tobytes()) for x, y in clients] == originals
+    for (x, _), session in zip(clients, sessions.values()):
+        assert session.blocks_deflated == 3 and not np.shares_memory(session.e, x)
+    assert sorted(calls) == ["in place"] * 4 + ["new"] * 2
 
 
 @pytest.mark.parametrize("msg", [
