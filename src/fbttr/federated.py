@@ -261,8 +261,9 @@ class ClientSession:
     (round, AceResult or None for a skip), which a retry reports again and a
     HYPER_ASSIGN builds on.  Any message but HELLO before the hub's config,
     a JOIN, a HYPER_ASSIGN naming the wrong number of feature modes or a
-    target rank outside 1 and the round's own rank, and a GLOBAL_BLOCK that
-    does not fit the client's shapes, is not finite or exceeds the rank cap, raise
+    target rank outside 1 and the round's own rank, a GLOBAL_BLOCK that
+    does not fit the client's shapes, is not finite or exceeds the rank cap,
+    and a RETRY_ROUND for a round other than the one last reported, raise
     :class:`ProtocolError` before any decomposition or deflation.
     """
 
@@ -341,6 +342,9 @@ class ClientSession:
             return []
         if msg.kind == MessageKind.ERROR:
             if msg.payload.code == ErrorCode.RETRY_ROUND:
+                if msg.round != self._round[0]:
+                    raise ProtocolError(f"retry of round {msg.round}, but this client last "
+                                        f"reported round {self._round[0]}")
                 return [self._ace_report(msg.round)]
             self.done = True
             return []

@@ -762,6 +762,22 @@ def test_client_refuses_a_bad_global_block_without_writing_its_own_residual():
     assert session.norms == norms and session.blocks_deflated == 1
 
 
+def test_retry_of_a_round_the_client_did_not_report_is_refused(monkeypatch):
+    # the hub only retries the round a live client last reported
+    x, y = make_dataset(79)
+    extractions = []
+    monkeypatch.setattr(federated, "ace", lambda *a, **k: extractions.append(a) or ace(*a, **k))
+    session = ClientSession(0, x, y)
+    session.handle(hub_hello(FitConfig(max_blocks=1, grid=GRID)))
+    retry = ProtocolErrorInfo(int(ErrorCode.RETRY_ROUND), "round aborted")
+    for rnd in (7, 0, 2):
+        with pytest.raises(ProtocolError, match="retry"):
+            session.handle(Message(MessageKind.ERROR, rnd, 0, retry))
+    [report] = session.handle(Message(MessageKind.ERROR, 1, 0, retry))
+    assert report.kind == MessageKind.ACE_REPORT and report.round == 1
+    assert len(extractions) == 1
+
+
 def test_clients_deflate_their_own_residual_in_place_and_never_write_their_data(monkeypatch):
     # blocks of 4 samples, so every deflation and projection runs block by block
     clients = [make_dataset(80, n=18), make_dataset(81, n=15)]
