@@ -429,19 +429,22 @@ def finalize_block(x, core, factors):
     ``x`` is projected onto the factors once, ``proj = x x_2 P_2' ... x_N P_N'``;
     t is read off ``proj`` and block_core is ``proj x_1 t'``.
 
-    ``proj`` is written into one ``(n, r_2, ..., r_N)`` array, one block of
-    :func:`~fbttr.tensor._block_rows` samples at a time, so a wide ``x`` is
-    never transposed whole; data of at most ``GATHER_BYTES`` is one block,
-    the whole-tensor product itself.  Beyond that, BLAS may round an entry
-    of a product over a block's fewer columns differently, so ``proj`` can
-    differ from the whole-tensor product in its last bits.
+    ``x`` of at most ``GATHER_BYTES`` is projected whole.  A wider ``x`` is
+    projected into one ``(n, r_2, ..., r_N)`` array, one block of
+    :func:`~fbttr.tensor._block_rows` samples at a time, so it is never
+    transposed whole; BLAS may round an entry of a product over a block's
+    fewer columns differently, so such a ``proj`` can differ from the
+    whole-tensor product in its last bits.
     """
     x = np.asarray(x)
     projectors = {n + 2: f.T for n, f in enumerate(factors)}
-    proj = np.empty(x.shape[:1] + tuple(f.shape[1] for f in factors))
     step = _block_rows(x)
-    for s in range(0, x.shape[0], step):
-        proj[s:s + step] = multilinear_product(x[s:s + step], projectors)
+    if step >= x.shape[0]:
+        proj = multilinear_product(x, projectors)
+    else:
+        proj = np.empty(x.shape[:1] + tuple(f.shape[1] for f in factors))
+        for s in range(0, x.shape[0], step):
+            proj[s:s + step] = multilinear_product(x[s:s + step], projectors)
     t_raw = _unfold(proj, 1) @ vec(core)
     rho = float(np.linalg.norm(t_raw))
     if rho == 0.0 or not math.isfinite(rho):
