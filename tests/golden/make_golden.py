@@ -14,6 +14,10 @@ model's residual trace.  Written files:
   on a 4-way set whose harmonised target ranks are lowered by one, so every
   client reruns its block at its own (SNR, tau) and truncates it to the
   target;
+- ``block_path.fbttr``: the model bytes of a centralized fit whose
+  ``tensor.GATHER_BYTES`` is lowered to :data:`BLOCK_PATH_GATHER_BYTES`, so
+  its 375 KiB set is deflated and projected in blocks of 68 samples, the
+  last one of 60, as a wide set is at the default block size;
 - ``golden.json``: the SHA-256 of both models, of their predictions
   (:func:`predictions_sha256`) and over every frame the federation sent, the
   work each case did (:data:`COUNTED`, unconverged cells, and frames and bytes
@@ -47,6 +51,7 @@ SRC = HERE.parent.parent / "src"
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 # the prediction batch spans at least three 4 MiB gather blocks of its samples
 BATCH_BYTES = 3 * (4 << 20)
+BLOCK_PATH_GATHER_BYTES = 64 << 10
 # work count -> the function whose calls it counts
 COUNTED = {
     "cells": "sparse_tucker.f_mpstd_cov",
@@ -115,7 +120,20 @@ def federation():
     return model, hub.frames
 
 
-CASES = {"centralized": centralized, "federation": federation}
+def block_path():
+    """(model, None): a 4-way fit of two planted blocks whose deflations and
+    projections run block by block."""
+    from fbttr import FitConfig, fit, make_synthetic, tensor
+
+    ds, _ = make_synthetic((400, 6, 5, 4), n_blocks=2, ranks=(2, 2, 2), noise_snr_db=10.0, seed=13)
+    default, tensor.GATHER_BYTES = tensor.GATHER_BYTES, BLOCK_PATH_GATHER_BYTES
+    try:
+        return fit(ds.x, ds.y, FitConfig(max_blocks=2)), None
+    finally:
+        tensor.GATHER_BYTES = default
+
+
+CASES = {"centralized": centralized, "federation": federation, "block_path": block_path}
 
 
 def predictions_sha256(model) -> str:
