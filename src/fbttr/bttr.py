@@ -1,21 +1,13 @@
 """Deflation-based block-term tensor regression.
 
-Training alternates block extraction on the predictor/response residuals
-with rank-one response deflation: each block contributes a unit score
-vector t_k, a response loading q_k and a coefficient d_k = u_k' t_k, and
-is subtracted from both residuals before the next extraction.  The
-predictor residual becomes E - t_k ⊗ (core_k x_2 P_k2 ... x_N P_kN): the
-block is expanded into feature space once and subtracted one block of
-samples at a time.  A fit holds its data and one residual: the first
-deflation writes the residual into a new array, since the data is the
-caller's, and every later one writes it back into that array.  Prediction
-is two matrix products, y_hat = unfold(x, 1) @ W @ Z, where column k of W,
-vec(score_core_k x_2 P_k2 ... x_N P_kN) less its projections on earlier
-loadings g_j = vec(core_j x_2 P_j2 ... x_N P_jN), reproduces the extracted
-score vector exactly on the training tensor.  The batch is unfolded by
-:func:`fbttr.tensor._sample_matrix`, which keeps the F-contiguous layout of
-``unfold(x, 1)``, so a wide batch gathered block by block predicts the same
-bits as one unfolded in one copy.
+Training alternates block extraction on the residuals with their rank-one
+deflation (:func:`deflate`): each block contributes a unit score vector
+t_k, a response loading q_k and a coefficient d_k = u_k' t_k.  The
+residuals belong to :class:`Residuals`, which a fit and a federated client
+share, so a one-client federation is the centralized fit, bit for bit.
+Prediction is y_hat = unfold(x, 1) @ W @ Z (:func:`materialize_predictor`),
+the batch unfolded by :func:`fbttr.tensor._sample_matrix`, so a wide batch
+gathered block by block predicts the same bits as one unfolded in one copy.
 """
 
 from __future__ import annotations
@@ -26,15 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .sparse_tucker import DEFAULT_RANK_CAP, AceError, Block, HyperGrid, ace, coefficient
-from .tensor import (
-    _block_rows,
-    _sample_matrix,
-    as_matrix,
-    as_tensor,
-    frobenius_norm,
-    multilinear_product,
-    vec,
-)
+from .tensor import _block_rows, _sample_matrix, as_matrix, as_tensor, frobenius_norm, multilinear_product, vec
 
 __all__ = [
     "FitError",
@@ -42,6 +26,7 @@ __all__ = [
     "NormStats",
     "Block",
     "BttrModel",
+    "Residuals",
     "fit",
     "predict",
     "residual_trace",
@@ -168,30 +153,51 @@ def materialize_predictor(blocks, input_shape) -> tuple:
     return w, z
 
 
-def deflate(e, f, core, factors, q, d, t, *, out=None) -> tuple:
+def deflate(e, f, core, factors, q, d, t) -> tuple:
     """(E - t ⊗ (core x_2 P_2 ... x_N P_N), F - d t q'): the rank-one
     deflation of the residuals by one block, with d the :func:`coefficient`
-    of F on (q, t).
+    of F on (q, t); ``e`` is deflated in place.
 
-    The block is expanded once, at the feature shape.  The predictor
-    residual is written into ``out``, ``e`` itself to deflate in place, or
-    into one new array when ``out`` is None.  It is written one block of
-    :func:`~fbttr.tensor._block_rows` samples at a time: the block's outer
-    product with ``t``, then E minus it, the same IEEE operations on every
-    entry as on the whole tensor.  ``core`` must have mode-1 extent 1.
+    The block is expanded once, at the feature shape, and subtracted one
+    block of :func:`~fbttr.tensor._block_rows` samples at a time: the
+    block's outer product with ``t``, then E minus it, the same IEEE
+    operations on every entry as on the whole tensor.  ``core`` must have
+    mode-1 extent 1.
     """
     g = expand(core, factors)
     if g.shape[0] != 1:
         raise ValueError(f"deflation needs a core of mode-1 extent 1, got shape {g.shape}")
     t_col = np.reshape(t, (e.shape[0],) + (1,) * (e.ndim - 1))
-    out = np.empty(e.shape) if out is None else out
     step = _block_rows(e)
     for s in range(0, e.shape[0], step):
-        rows = slice(s, s + step)
-        # in place, the outer product needs a block of its own
-        tg = np.multiply(t_col[rows], g, out=None if out is e else out[rows])
-        np.subtract(e[rows], tg, out=out[rows])
-    return out, f - d * (t @ q.T)
+        e[s:s + step] -= t_col[s:s + step] * g
+    return e, f - d * (t @ q.T)
+
+
+class Residuals:
+    """The checked data ``x`` of a fit or a federated client and its
+    residuals ``e`` and ``f``, the one owner of both.
+
+    ``x`` and ``y`` are checked once, here, and never written: ``e`` and
+    ``f`` are the inputs themselves until the first :meth:`deflate` copies
+    ``x``, and every deflation writes that copy in place, so the owner
+    holds its data and one residual.  ``trace`` holds the residual norms,
+    initial state first, one entry per deflation.
+    """
+
+    def __init__(self, x, y):
+        self.x = self.e = as_tensor(x, min_order=2)
+        self.f = as_matrix(y)
+        if self.f.shape[0] != self.x.shape[0]:
+            raise ValueError(f"sample count mismatch: x has {self.x.shape[0]}, y has {self.f.shape[0]}")
+        self.trace = [(frobenius_norm(self.e), frobenius_norm(self.f))]
+
+    def deflate(self, core, factors, q, d, t) -> None:
+        """Deflate ``e`` and ``f`` by one block with :func:`deflate`, and trace their norms."""
+        if self.e is self.x:
+            self.e = self.x.copy()
+        self.e, self.f = deflate(self.e, self.f, core, factors, q, d, t)
+        self.trace.append((frobenius_norm(self.e), frobenius_norm(self.f)))
 
 
 def fit(x, y, cfg: FitConfig, normalization: Optional[NormStats] = None) -> BttrModel:
@@ -205,37 +211,24 @@ def fit(x, y, cfg: FitConfig, normalization: Optional[NormStats] = None) -> Bttr
     ``x`` and ``y`` are used as given; callers that z-score their data can
     pass the statistics in ``normalization`` so they travel with the model.
     """
-    x = as_tensor(x, min_order=2)
-    y = as_matrix(y)
-    if y.shape[0] != x.shape[0]:
-        raise ValueError(f"sample count mismatch: x has {x.shape[0]}, y has {y.shape[0]}")
-
-    e, f = x, y  # the first deflation makes the residual; x and y are never written
+    res = Residuals(x, y)
     blocks = []
-    trace = [(frobenius_norm(e), frobenius_norm(f))]
     for k in range(cfg.max_blocks):
-        if k > 0 and cfg.stops(*trace[-1]):
+        if k > 0 and cfg.stops(*res.trace[-1]):
             break
         try:
-            a = ace(e, f, cfg.grid, rank_cap=cfg.rank_cap)
+            a = ace(res.e, res.f, cfg.grid, rank_cap=cfg.rank_cap)
         except AceError as err:
             if k == 0:
                 raise FitError(f"no block could be extracted: {err}") from err
             break
         b = a.block
-        e, f = deflate(e, f, b.core, b.factors, b.q, b.d, a.t, out=None if e is x else e)
+        res.deflate(b.core, b.factors, b.q, b.d, a.t)
         blocks.append(b)
-        trace.append((frobenius_norm(e), frobenius_norm(f)))
 
-    w, z = materialize_predictor(blocks, x.shape[1:])
-    return BttrModel(
-        blocks=blocks,
-        w=w,
-        z=z,
-        input_shape=tuple(x.shape[1:]),
-        normalization=normalization,
-        trace=trace,
-    )
+    w, z = materialize_predictor(blocks, res.x.shape[1:])
+    return BttrModel(blocks=blocks, w=w, z=z, input_shape=tuple(res.x.shape[1:]),
+                     normalization=normalization, trace=res.trace)
 
 
 def predict(model: BttrModel, x_test) -> np.ndarray:

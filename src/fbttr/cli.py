@@ -139,7 +139,7 @@ def cmd_federate(args) -> int:
         session = run_socket_client(host, port, x, y, round_timeout=args.round_timeout)
     except OSError as e:
         raise ProtocolError(f"cannot reach server at {host}:{port}: {e}") from e
-    print(f"client finished after {session.blocks_deflated} block(s)")
+    print(f"client finished after {len(session.residuals.trace) - 1} block(s)")
     return EXIT_OK
 
 

@@ -8,9 +8,9 @@ decomposition at its own selected (SNR, tau) and truncates it.  The hub
 aggregates the returned block parameters by a sample-count-weighted average
 after sign/permutation alignment and broadcasts the global block; the model
 is the list of broadcast blocks.  Clients recompute their score vector
-locally from the global factors and deflate their residuals; a client's
-next round report is the hub's sign that it has.  Only ranks, cores,
-factors, loadings, scalars and sample counts ever cross the wire.
+locally, unless the block is their own, and deflate their residuals; a
+client's next round report is the hub's sign that it has.  Only ranks,
+cores, factors, loadings, scalars and sample counts ever cross the wire.
 """
 
 from __future__ import annotations
@@ -20,20 +20,10 @@ from typing import Optional
 
 import numpy as np
 
-from .bttr import Block, BttrModel, FitConfig, FitError, deflate, materialize_predictor
-from .sparse_tucker import (
-    AceError,
-    AceResult,
-    SparseTuckerResult,
-    ace,
-    block_from,
-    coefficient,
-    collapse_response_mode,
-    component_contributions,
-    f_mpstd,
-    finalize_block,
-)
-from .tensor import as_matrix, as_tensor, frobenius_norm, multilinear_product
+from .bttr import Block, BttrModel, FitConfig, FitError, Residuals, materialize_predictor
+from .sparse_tucker import (AceError, AceResult, NonFiniteScoreError, SparseTuckerResult, ace, block_from,
+                            coefficient, collapse_response_mode, component_contributions, f_mpstd, finalize_block)
+from .tensor import multilinear_product
 from .transport import DEFAULT_ROUND_TIMEOUT, ClientDropout, LoopbackTransport, ProtocolError, SocketChannel
 from .wire import (
     AceReport,
@@ -66,9 +56,7 @@ def aggregation_weights(sample_counts) -> np.ndarray:
     counts = np.asarray(sample_counts, dtype=np.float64)
     if counts.size == 0 or np.any(counts <= 0):
         raise ValueError("sample counts must be positive")
-    w = counts / counts.sum()
-    assert abs(w.sum() - 1.0) < 1e-12
-    return w
+    return counts / counts.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -127,23 +115,29 @@ def client_local_block(e, f, own: AceResult, target_ranks, rank_cap: int) -> Blo
     return BlockUpdate(e.shape[0], block_from(e, f, res)[0])
 
 
-def client_deflate(e, f, gb: Block, *, out=None) -> tuple:
-    """Deflate the local residuals ``e``, ``f`` against the broadcast global block.
+def client_deflate(residuals: Residuals, gb: Block, own: Optional[AceResult] = None) -> None:
+    """Deflate a client's ``residuals`` by the broadcast global block ``gb``.
 
-    The score vector is recomputed locally from the global factors and
-    score core, the predictor residual loses its own projection onto
-    (t, factors), and the response residual is deflated with the global
-    loading but the locally fitted coefficient.  Returns the new residuals,
-    the predictor one written into ``out`` as :func:`~fbttr.bttr.deflate`
-    does, or ``e`` and ``f`` themselves, unwritten, when there is nothing
-    to remove.
+    A ``gb`` that is byte for byte ``own.block``, this round's report, is
+    deflated by ``own``'s score, block core and coefficient, as
+    :func:`~fbttr.bttr.fit` deflates.  Any other block has its score vector
+    recomputed from its factors and score core, its block core projected
+    from the residual and its coefficient fitted locally.  A zero score
+    direction leaves the residuals as they were; one that is not finite
+    raises :class:`ProtocolError` before any write.
     """
+    if own is not None and gb.same_bytes(own.block):
+        b = own.block
+        residuals.deflate(b.core, b.factors, b.q, b.d, own.t)
+        return
     try:
-        t, local_core, _ = finalize_block(e, gb.score_core, gb.factors)
+        with np.errstate(over="ignore", invalid="ignore"):
+            t, local_core, _ = finalize_block(residuals.e, gb.score_core, gb.factors)
+    except NonFiniteScoreError as err:
+        raise ProtocolError(f"global block has no finite score direction here: {err}") from err
     except AceError:
-        # residual has no component along the global block
-        return e, f
-    return deflate(e, f, local_core, gb.factors, gb.q, coefficient(f, gb.q, t), t, out=out)
+        return  # the residual has no component along the global block
+    residuals.deflate(local_core, gb.factors, gb.q, coefficient(residuals.f, gb.q, t), t)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +194,7 @@ def _align_update(ref: Block, upd: Block) -> Block:
 def aggregate_block(updates) -> Block:
     """Sample-count-weighted average of the aligned blocks of non-skip updates.
 
+    A lone update's block is broadcast as sent, with no QR and no rescaling.
     Updates must share shapes (guaranteed by rank harmonisation).  Averaged
     factors are re-orthonormalised by a thin QR with the triangular
     correction absorbed into both cores; the averaged loading is rescaled
@@ -208,6 +203,8 @@ def aggregate_block(updates) -> Block:
     updates = list(updates)
     if not updates:
         raise ValueError("no updates to aggregate")
+    if len(updates) == 1:
+        return updates[0].block
     ref, *rest = [u.block for u in updates]
     for b in rest:
         if b.core.shape != ref.core.shape or b.q.shape != ref.q.shape or any(
@@ -250,37 +247,28 @@ def aggregate_block(updates) -> Block:
 class ClientSession:
     """One client's whole state and its protocol driver.
 
-    ``e``, ``f`` are the residuals and ``norms`` their norms, taken here and
-    after each deflation; neither leaves the client.  Until the first
-    deflation the residuals are the checked inputs, which are never written;
-    that deflation writes ``e`` into a new array, and every later one
-    deflates it in place.  Every check on a GLOBAL_BLOCK, including the
-    score direction :func:`client_deflate` tests, comes before that write,
-    so a refused block leaves the residuals as they were.  The stop rule
-    is decided once per round, when the client reports: ``_round`` is
-    (round, AceResult or None for a skip), which a retry reports again and a
-    HYPER_ASSIGN builds on.  Any message but HELLO before the hub's config,
-    a JOIN, a HYPER_ASSIGN naming the wrong number of feature modes or a
-    target rank outside 1 and the round's own rank, a GLOBAL_BLOCK that
-    does not fit the client's shapes, is not finite or exceeds the rank cap,
-    and a RETRY_ROUND for a round other than the one last reported, raise
+    ``residuals`` (:class:`~fbttr.bttr.Residuals`) never leaves the client.
+    The stop rule is decided once per round, when the client reports:
+    ``_round`` is (round, AceResult or None for a skip), which a retry
+    reports again, a HYPER_ASSIGN builds on and a GLOBAL_BLOCK that is the
+    client's own deflates by.  Any message but HELLO before the hub's
+    config, a JOIN, a HYPER_ASSIGN naming the wrong number of feature modes
+    or a target rank outside 1 and the round's own rank, a GLOBAL_BLOCK
+    that does not fit the client's shapes, is not :meth:`~Block.is_sound`,
+    exceeds the rank cap or has no finite score direction here, and a
+    RETRY_ROUND for a round other than the one last reported, raise
     :class:`ProtocolError` before any decomposition or deflation.
     """
 
     def __init__(self, client_id: int, x, y):
-        self.e = as_tensor(x, min_order=2)
-        self.f = as_matrix(y)
-        if self.f.shape[0] != self.e.shape[0]:
-            raise ValueError("sample count mismatch between x and y")
+        self.residuals = Residuals(x, y)
         self.client_id = client_id
-        self.norms = (frobenius_norm(self.e), frobenius_norm(self.f))
-        self.blocks_deflated = 0
         self.cfg: Optional[FitConfig] = None
         self.done = False
         self._round = (None, None)
 
     def join(self) -> Message:
-        return self._msg(MessageKind.JOIN, 0, Join(self.e.shape[1:], self.f.shape[1]))
+        return self._msg(MessageKind.JOIN, 0, Join(self.residuals.x.shape[1:], self.residuals.f.shape[1]))
 
     def _msg(self, kind, rnd, payload=None) -> Message:
         return Message(kind=kind, round=rnd, client_id=self.client_id, payload=payload)
@@ -288,10 +276,10 @@ class ClientSession:
     def _ace_report(self, rnd: int) -> Message:
         # only a deflation changes the residuals, so a retried round reuses what it stored
         if self._round[0] != rnd:
-            result = None
-            if rnd == 1 or not self.cfg.stops(*self.norms):
+            r, result = self.residuals, None
+            if rnd == 1 or not self.cfg.stops(*r.trace[-1]):
                 try:
-                    result = ace(self.e, self.f, self.cfg.grid, rank_cap=self.cfg.rank_cap)
+                    result = ace(r.e, r.f, self.cfg.grid, rank_cap=self.cfg.rank_cap)
                 except AceError:
                     pass
             self._round = (rnd, result)
@@ -306,19 +294,20 @@ class ClientSession:
             return [self._ace_report(1)]
         if self.cfg is None:
             raise ProtocolError(f"{msg.kind.name} arrived before the hub's HELLO")
+        r = self.residuals
         if msg.kind == MessageKind.HYPER_ASSIGN:
             rnd, own = self._round
             target = msg.payload.target_ranks
-            if len(target) != self.e.ndim - 1:
+            if len(target) != r.x.ndim - 1:
                 raise ProtocolError(f"round {msg.round} assignment names {len(target)} feature modes, "
-                                    f"this client has {self.e.ndim - 1}")
+                                    f"this client has {r.x.ndim - 1}")
             if rnd != msg.round or own is None:
-                return [self._msg(MessageKind.BLOCK_UPDATE, msg.round, BlockUpdate(self.e.shape[0]))]
+                return [self._msg(MessageKind.BLOCK_UPDATE, msg.round, BlockUpdate(r.x.shape[0]))]
             ranks = own.block.feature_ranks
-            if not all(1 <= t <= r for t, r in zip(target, ranks)):
+            if not all(1 <= t <= k for t, k in zip(target, ranks)):
                 raise ProtocolError(f"round {msg.round} target ranks {target} outside 1..{ranks}")
             try:
-                update = client_local_block(self.e, self.f, own, target, self.cfg.rank_cap)
+                update = client_local_block(r.e, r.f, own, target, self.cfg.rank_cap)
             except (AceError, ProtocolError, ValueError) as e:
                 # a ProtocolError here is the rerun's own ranks falling below the checked target
                 info = ProtocolErrorInfo(code=int(ErrorCode.DECOMPOSITION_FAILED), detail=str(e))
@@ -326,15 +315,11 @@ class ClientSession:
             return [self._msg(MessageKind.BLOCK_UPDATE, msg.round, update)]
         if msg.kind == MessageKind.GLOBAL_BLOCK:
             gb = msg.payload
-            if not (gb.fits(self.e.shape[1:], self.f.shape[1]) and gb.is_finite()
-                    and all(r <= self.cfg.rank_cap for r in gb.feature_ranks)):
+            if not (gb.fits(r.x.shape[1:], r.f.shape[1]) and gb.is_sound()
+                    and all(rank <= self.cfg.rank_cap for rank in gb.feature_ranks)):
                 raise ProtocolError(f"round {msg.round} global block does not fit this client")
-            if not self.cfg.stops(*self.norms):
-                e, f = client_deflate(self.e, self.f, gb, out=self.e if self.blocks_deflated else None)
-                if f is not self.f:  # else the block had no direction here, and nothing was written
-                    self.e, self.f = e, f
-                    self.norms = (frobenius_norm(e), frobenius_norm(f))
-                    self.blocks_deflated += 1
+            if not self.cfg.stops(*r.trace[-1]):
+                client_deflate(r, gb, self._round[1] if self._round[0] == msg.round else None)
             # the next round's report is the acknowledgement; the last round has none
             return [self._ace_report(msg.round + 1)] if msg.round < self.cfg.max_blocks else []
         if msg.kind == MessageKind.DONE:
@@ -359,9 +344,7 @@ def _recv_expect(transport, cid: int, kind: MessageKind, rnd: int) -> Message:
     """Next message of the expected kind, discarding stale frames from aborted rounds."""
     for _ in range(MAX_STALE_FRAMES):
         msg = transport.recv(cid)
-        if msg.kind == kind and msg.round == rnd:
-            return msg
-        if msg.kind == MessageKind.ERROR:
+        if (msg.kind == kind and msg.round == rnd) or msg.kind == MessageKind.ERROR:
             return msg
     raise ProtocolError(f"client {cid} flooded unexpected messages")
 
@@ -430,14 +413,14 @@ def _collect_reports(transport, live, rnd: int, feature_shape, cfg: FitConfig) -
 
 
 def _aggregable(msg: Message, feature_shape, n_responses: int, target_ranks) -> bool:
-    """Whether ``msg`` carries a finite block that fits the handshake's shapes
+    """Whether ``msg`` carries a sound block that fits the handshake's shapes
     at the round's target ranks, weighted by a positive sample count."""
     block = msg.payload.block if msg.kind == MessageKind.BLOCK_UPDATE else None
     return block is not None and (
         msg.payload.n_samples >= 1
         and block.fits(feature_shape, n_responses)
         and block.feature_ranks == tuple(target_ranks)
-        and block.is_finite()
+        and block.is_sound()
     )
 
 
@@ -445,8 +428,8 @@ def _run_round(transport, live, rnd: int, feature_shape, n_responses: int, cfg: 
     """One full round; returns the aggregated block or None when no client sent one.
 
     A client that replies with an ERROR, a skip or an unsound report, a
-    block of other shapes or a block holding NaN or inf is excluded from
-    this round's aggregation.
+    block of other shapes or a block that is not :meth:`~Block.is_sound` is
+    excluded from this round's aggregation.
     """
     reports = _collect_reports(transport, live, rnd, feature_shape, cfg)
     active = {cid: r for cid, r in reports.items() if not r.skip}
@@ -460,18 +443,14 @@ def _run_round(transport, live, rnd: int, feature_shape, n_responses: int, cfg: 
         msg = _recv_expect(transport, cid, MessageKind.BLOCK_UPDATE, rnd)
         if _aggregable(msg, feature_shape, n_responses, target):
             updates.append(msg.payload)
-    if not updates:
-        return None
-    return aggregate_block(updates)
+    return aggregate_block(updates) if updates else None
 
 
 def federated_fit_over(transport, cfg: FitConfig) -> BttrModel:
     """Drive the hub protocol over an already-connected transport."""
     feature_shape, n_responses = _handshake(transport, cfg)
     blocks = []
-    rnd = 0
-    while rnd < cfg.max_blocks:
-        rnd += 1
+    for rnd in range(1, cfg.max_blocks + 1):
         retried = False
         while True:
             try:

@@ -35,6 +35,7 @@ MAX_SWEEPS = 200  # sweeps after which f_mpstd_cov returns unconverged
 __all__ = [
     "DecompositionError",
     "AceError",
+    "NonFiniteScoreError",
     "HyperGrid",
     "GridSearch",
     "SparseTuckerResult",
@@ -57,6 +58,10 @@ class DecompositionError(ValueError):
 
 class AceError(RuntimeError):
     """Block extraction failed for every hyperparameter candidate."""
+
+
+class NonFiniteScoreError(AceError):
+    """A block's score direction on the data overflowed to inf or NaN."""
 
 
 @dataclass
@@ -138,10 +143,21 @@ class Block:
             and self.q.shape == (n_responses, 1)
         )
 
-    def is_finite(self) -> bool:
-        """Whether ``d`` and every array of the block hold no NaN or inf."""
-        arrays = [self.core, self.score_core, self.q] + self.factors
-        return math.isfinite(self.d) and all(np.isfinite(a).all() for a in arrays)
+    def is_sound(self, atol: float = 1e-8) -> bool:
+        """Whether ``d`` and both cores are finite and ``q`` and every factor
+        have orthonormal columns within ``atol``, as :func:`ace` and an
+        aggregate make them, so deflating by the block cannot overflow."""
+        finite = math.isfinite(self.d) and np.isfinite(self.core).all() and np.isfinite(self.score_core).all()
+        return bool(finite) and all(
+            np.all(np.abs(m) <= 1.0 + atol) and np.allclose(m.T @ m, np.eye(m.shape[1]), rtol=0, atol=atol)
+            for m in [self.q] + list(self.factors)
+        )
+
+    def same_bytes(self, other: "Block") -> bool:
+        """Whether ``other`` holds the same shapes and bytes, field for field."""
+        fields = [(b.core, b.score_core, b.q, np.float64(b.d), *b.factors) for b in (self, other)]
+        return len(self.factors) == len(other.factors) and all(
+            u.shape == v.shape and u.tobytes() == v.tobytes() for u, v in zip(*fields))
 
 
 @dataclass
@@ -427,7 +443,9 @@ def finalize_block(x, core, factors):
     block_core the projection of x onto (t, factors), and score_core the
     core whose vectorisation maps the factor-projected x onto t exactly.
     ``x`` is projected onto the factors once, ``proj = x x_2 P_2' ... x_N P_N'``;
-    t is read off ``proj`` and block_core is ``proj x_1 t'``.
+    t is read off ``proj`` and block_core is ``proj x_1 t'``.  A zero score
+    direction raises :class:`AceError`, one that is not finite its subclass
+    :class:`NonFiniteScoreError`.
 
     ``x`` of at most ``GATHER_BYTES`` is projected whole.  A wider ``x`` is
     projected into one ``(n, r_2, ..., r_N)`` array, one block of
@@ -447,7 +465,9 @@ def finalize_block(x, core, factors):
             proj[s:s + step] = multilinear_product(x[s:s + step], projectors)
     t_raw = _unfold(proj, 1) @ vec(core)
     rho = float(np.linalg.norm(t_raw))
-    if rho == 0.0 or not math.isfinite(rho):
+    if not math.isfinite(rho):
+        raise NonFiniteScoreError("score direction is not finite")
+    if rho == 0.0:
         raise AceError("degenerate score direction (zero projection)")
     t = (t_raw / rho).reshape(-1, 1)
     return t, _mode_product(proj, t.T, 1), core / rho

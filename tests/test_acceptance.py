@@ -61,11 +61,12 @@ def _random_regression(seed, shape):
 
 
 def test_criterion_1_single_client_federation_oracle():
-    with criterion("criterion 1: single-client federation equals centralized (1e-8)", 120):
+    with criterion("criterion 1: single-client federation equals centralized (1e-8, and bit for bit)", 120):
         shapes = [(40, 10), (36, 6, 4), (30, 4, 3, 2)]
         cfg = FitConfig(max_blocks=2, epsilon=1e-8, grid=SHARED_GRID)
         worst = 0.0
         cases = 0
+        differing = []
         for seed in range(7):
             for shape in shapes:
                 if cases >= 21:
@@ -75,9 +76,15 @@ def test_criterion_1_single_client_federation_oracle():
                 fed = run_federated_fit([(x, y)], cfg)
                 dev = float(np.max(np.abs(predict(central, x_test) - predict(fed, x_test))))
                 worst = max(worst, dev)
+                same = len(fed.blocks) == len(central.blocks) and all(
+                    bc.same_bytes(bf) for bc, bf in zip(central.blocks, fed.blocks))
+                if not (same and fed.w.tobytes() == central.w.tobytes()
+                        and fed.z.tobytes() == central.z.tobytes()):
+                    differing.append((seed, shape))
                 cases += 1
         assert cases >= 20
         assert worst < 1e-8, f"worst deviation {worst:.3e}"
+        assert differing == [], f"not byte-identical to the centralized fit: {differing}"
 
 
 def test_criterion_2_replication_oracle():

@@ -115,6 +115,7 @@ def test_single_client_federated_equals_centralized(tmp_path):
     assert cen.keys() == fed.keys()
     for key in cen:
         assert cen[key] == pytest.approx(fed[key], abs=1e-8)
+    assert cen == fed  # a one-client federation is the centralized fit, bit for bit
 
 
 def test_hybrid_with_all_clients_pooled_matches_centralized(tmp_path):

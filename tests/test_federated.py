@@ -4,9 +4,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbttr import federated, tensor
-from fbttr.bttr import Block, FitConfig, FitError, fit, predict
+from fbttr.bttr import Block, FitConfig, FitError, Residuals, fit, predict
 from fbttr.data import make_synthetic
 from fbttr.federated import (
     ClientSession,
@@ -197,6 +199,12 @@ def test_aggregate_shape_mismatch_is_protocol_error():
         aggregate_block([a, b])
 
 
+def test_a_lone_update_is_broadcast_as_sent():
+    upd = make_update(9, d=0.5)
+    upd.block.q = np.array([[2.0]])  # not even rescaled
+    assert aggregate_block([upd]) is upd.block
+
+
 def test_aggregate_orthonormalizes_averaged_factors():
     a = make_update(7)
     b = make_update(8)
@@ -227,9 +235,10 @@ def test_client_session_skips_below_epsilon_after_round_1():
     session = ClientSession(0, 1e-12 * rng.normal(size=(5, 4, 3)), 1e-12 * rng.normal(size=(5, 1)))
     cfg = FitConfig(max_blocks=3, epsilon=1e-6, grid=GRID)
     assert session.handle(hub_hello(cfg))[0].kind == MessageKind.ACE_REPORT
-    e, norms = session.e, session.norms
+    r = session.residuals
+    e, trace = r.e, list(r.trace)
     [report] = session.handle(Message(MessageKind.GLOBAL_BLOCK, 1, 0, ZERO_BLOCK))
-    assert session.e is e and session.norms == norms and session.blocks_deflated == 0
+    assert r.e is e and r.trace == trace and len(trace) == 1
     assert report.round == 2 and report.payload.skip is True
     [upd] = session.handle(Message(MessageKind.HYPER_ASSIGN, 2, 0, HyperAssign((1, 1))))
     assert upd.kind == MessageKind.BLOCK_UPDATE
@@ -319,9 +328,10 @@ def test_client_deflate_zero_core_leaves_residuals():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(15, 4, 3))
     y = rng.normal(size=(15, 1))
-    # nothing to remove: the inputs themselves come back
-    e, f = client_deflate(x, y, ZERO_BLOCK)
-    assert e is x and f is y
+    # nothing to remove: the residuals stay the inputs themselves
+    res = Residuals(x, y)
+    client_deflate(res, ZERO_BLOCK)
+    assert res.e is x and res.f is y and len(res.trace) == 1
 
 
 def test_client_deflate_never_increases_f_norm():
@@ -330,11 +340,12 @@ def test_client_deflate_never_increases_f_norm():
     upd = client_local_block(x, y, own, (2, 2), CFG.rank_cap)
     gb = aggregate_block([upd])
     originals = (x.tobytes(), y.tobytes())
-    e, f = client_deflate(x, y, gb)
-    assert e is not x and f is not y
+    res = Residuals(x, y)
+    client_deflate(res, gb)
+    assert res.e is not x and res.f is not y and len(res.trace) == 2
     assert (x.tobytes(), y.tobytes()) == originals
-    assert frobenius_norm(f) <= frobenius_norm(y) + 1e-12
-    assert frobenius_norm(e) <= frobenius_norm(x) + 1e-12
+    assert frobenius_norm(res.f) <= frobenius_norm(y) + 1e-12
+    assert frobenius_norm(res.e) <= frobenius_norm(x) + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +369,41 @@ def test_single_client_equivalence_every_parameter():
             assert bc.d == pytest.approx(bf.d, abs=1e-8)
             for fc, ff in zip(bc.factors, bf.factors):
                 assert np.allclose(fc, ff, atol=1e-8)
+            assert bc.same_bytes(bf)
         assert np.max(np.abs(predict(central, x_test) - predict(fed, x_test))) < 1e-8
+        assert fed.w.tobytes() == central.w.tobytes() and fed.z.tobytes() == central.z.tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_one_client_federation_is_the_centralized_fit_bit_for_bit(data):
+    order = data.draw(st.integers(2, 4))
+    shape = tuple(data.draw(st.lists(st.integers(2, 5), min_size=order - 1, max_size=order - 1)))
+    x, y = make_dataset(data.draw(st.integers(0, 2**16)), n=data.draw(st.integers(6, 30)),
+                        shape=shape, m=data.draw(st.integers(1, 2)))
+    axis = lambda values: tuple(sorted(data.draw(st.sets(st.sampled_from(values), min_size=1, max_size=3))))
+    cfg = FitConfig(max_blocks=data.draw(st.integers(1, 3)), rank_cap=data.draw(st.integers(1, 4)),
+                    # from no stop to a stop after the first block
+                    epsilon=data.draw(st.sampled_from((1e-8, 0.05, 0.3, 2.0))) * frobenius_norm(y),
+                    grid=HyperGrid(axis((2.0, 5.0, 10.0, 20.0, 40.0)), axis((90.0, 95.0, 99.0, 100.0))))
+    central = fit(x, y, cfg)
+    fed = run_federated_fit([(x, y)], cfg)
+    assert len(fed.blocks) == len(central.blocks)
+    assert all(bc.same_bytes(bf) for bc, bf in zip(central.blocks, fed.blocks))
+    assert fed.w.tobytes() == central.w.tobytes() and fed.z.tobytes() == central.z.tobytes()
+
+
+def test_a_client_deflates_by_its_own_score_only_when_the_block_is_its_own(monkeypatch):
+    # a lone update comes back as sent, so a one-client federation never
+    # recomputes a score; an aggregate of two is neither client's own block
+    projections = []
+    real = federated.finalize_block
+    monkeypatch.setattr(federated, "finalize_block", lambda *a: projections.append(a) or real(*a))
+    x, y = make_dataset(82)
+    assert run_federated_fit([(x, y)], CFG).n_blocks == CFG.max_blocks
+    assert projections == []
+    model = run_federated_fit([(x, y), make_dataset(83)], CFG)
+    assert len(projections) == 2 * model.n_blocks > 0
 
 
 def test_replicated_clients_equal_single_client():
@@ -634,7 +679,8 @@ def test_lone_client_with_misshaped_block_raises_fit_error():
 
 
 class PoisonedBlockSession(ClientSession):
-    """A client that writes a NaN or an inf into one field of every block update."""
+    """A client that writes a NaN or an inf into one field of every block
+    update, or doubles its factors when the field is "stretched"."""
 
     def __init__(self, *args, field):
         super().__init__(*args)
@@ -647,6 +693,8 @@ class PoisonedBlockSession(ClientSession):
                 b = m.payload.block
                 if self.field == "d":
                     b.d = np.nan
+                elif self.field == "stretched":
+                    b.factors = [2.0 * f for f in b.factors]
                 elif self.field == "factors":
                     b.factors = [f.copy() for f in b.factors]
                     b.factors[-1][0, 0] = -np.inf
@@ -657,8 +705,7 @@ class PoisonedBlockSession(ClientSession):
         return out
 
 
-@pytest.mark.parametrize("field", ["core", "score_core", "q", "factors", "d"])
-def test_hub_excludes_block_holding_nan_or_inf(field):
+def _assert_hub_excludes_poisoned_block(field):
     clients = [make_dataset(66), make_dataset(67)]
     sessions = {0: ClientSession(0, *clients[0]),
                 1: PoisonedBlockSession(1, *clients[1], field=field)}
@@ -669,6 +716,16 @@ def test_hub_excludes_block_holding_nan_or_inf(field):
     assert model.n_blocks == solo.n_blocks >= 1
     assert model.w.tobytes() == solo.w.tobytes()
     assert model.z.tobytes() == solo.z.tobytes()
+
+
+@pytest.mark.parametrize("field", ["core", "score_core", "q", "factors", "d"])
+def test_hub_excludes_block_holding_nan_or_inf(field):
+    _assert_hub_excludes_poisoned_block(field)
+
+
+def test_hub_excludes_a_block_whose_factors_are_not_orthonormal():
+    # finite, but deflating by it could overflow a client's residual
+    _assert_hub_excludes_poisoned_block("stretched")
 
 
 class TamperedReportSession(ClientSession):
@@ -724,6 +781,11 @@ def _global_block(x, y, damage):
         gb.factors[0][0, 0] = np.inf
     elif damage == "two-row-q":
         gb.q = np.vstack([gb.q, gb.q])
+    elif damage == "stretched-factor":
+        gb.factors = [2.0 * gb.factors[0]] + gb.factors[1:]
+    elif damage == "overflowing-score":
+        # finite and orthonormal, but the score direction's norm overflows
+        gb.score_core = np.full_like(gb.score_core, 1e200)
     elif damage == "zero-rank":
         gb = Block(np.zeros((1, 0, 1)), np.zeros((1, 0, 1)), [np.zeros((4, 0)), np.eye(3)[:, :1]],
                    gb.q, gb.d)
@@ -732,17 +794,19 @@ def _global_block(x, y, damage):
 
 @pytest.mark.parametrize("damage,rank_cap", [
     ("doubled-rows", 10), ("nan-core", 10), ("inf-factor", 10), ("two-row-q", 10), ("zero-rank", 10),
-    (None, 1),
-], ids=["doubled-rows", "nan-core", "inf-factor", "two-row-q", "zero-rank", "rank-above-cap"])
+    ("stretched-factor", 10), ("overflowing-score", 10), (None, 1),
+], ids=["doubled-rows", "nan-core", "inf-factor", "two-row-q", "zero-rank", "stretched-factor",
+        "overflowing-score", "rank-above-cap"])
 def test_client_refuses_a_bad_global_block_before_touching_its_residuals(damage, rank_cap):
     x, y = make_dataset(76)
     session = ClientSession(0, x, y)
     session.handle(hub_hello(FitConfig(max_blocks=2, epsilon=1e-8, grid=GRID, rank_cap=rank_cap)))
-    e, f, norms = session.e, session.f, session.norms
+    r = session.residuals
+    e, f, trace = r.e, r.f, list(r.trace)
     with pytest.raises(ProtocolError, match="global block"):
         session.handle(Message(MessageKind.GLOBAL_BLOCK, 1, 0, _global_block(x, y, damage)))
-    assert session.e is e and session.f is f
-    assert session.norms == norms and session.blocks_deflated == 0
+    assert r.e is e and r.f is f
+    assert r.trace == trace and len(trace) == 1
 
 
 def test_client_refuses_a_bad_global_block_without_writing_its_own_residual():
@@ -752,14 +816,16 @@ def test_client_refuses_a_bad_global_block_without_writing_its_own_residual():
     session = ClientSession(0, x, y)
     session.handle(hub_hello(FitConfig(max_blocks=3, epsilon=1e-8, grid=GRID)))
     session.handle(Message(MessageKind.GLOBAL_BLOCK, 1, 0, _global_block(x, y, None)))
-    e, f, norms = session.e, session.f, session.norms
-    assert session.blocks_deflated == 1 and not np.shares_memory(e, x)
+    r = session.residuals
+    e, f, trace = r.e, r.f, list(r.trace)
+    assert len(trace) == 2 and not np.shares_memory(e, x)
     residual = e.tobytes()
-    with pytest.raises(ProtocolError, match="global block"):
-        session.handle(Message(MessageKind.GLOBAL_BLOCK, 2, 0, _global_block(x, y, "nan-core")))
+    for damage in ("nan-core", "overflowing-score"):
+        with pytest.raises(ProtocolError, match="global block"):
+            session.handle(Message(MessageKind.GLOBAL_BLOCK, 2, 0, _global_block(x, y, damage)))
     session.handle(Message(MessageKind.GLOBAL_BLOCK, 2, 0, ZERO_BLOCK))
-    assert session.e is e and session.f is f and session.e.tobytes() == residual
-    assert session.norms == norms and session.blocks_deflated == 1
+    assert r.e is e and r.f is f and r.e.tobytes() == residual
+    assert r.trace == trace
 
 
 def test_retry_of_a_round_the_client_did_not_report_is_refused(monkeypatch):
@@ -787,17 +853,18 @@ def test_clients_deflate_their_own_residual_in_place_and_never_write_their_data(
     calls = []
     real = federated.client_deflate
 
-    def spy(e, f, gb, *, out=None):
-        got = real(e, f, gb, out=out)
-        calls.append("new" if out is None else "in place" if got[0] is out is e else "?")
-        return got
+    def spy(residuals, gb, own=None):
+        e = residuals.e
+        real(residuals, gb, own)
+        calls.append("new" if e is residuals.x else "in place" if residuals.e is e else "?")
 
     monkeypatch.setattr(federated, "client_deflate", spy)
     model = federated_fit_over(LoopbackTransport(sessions), FitConfig(max_blocks=3, grid=GRID))
     assert model.n_blocks == 3
     assert [(x.tobytes(), y.tobytes()) for x, y in clients] == originals
     for (x, _), session in zip(clients, sessions.values()):
-        assert session.blocks_deflated == 3 and not np.shares_memory(session.e, x)
+        r = session.residuals
+        assert len(r.trace) == 4 and r.x is x and not np.shares_memory(r.e, x)
     assert sorted(calls) == ["in place"] * 4 + ["new"] * 2
 
 
@@ -812,7 +879,7 @@ def test_client_refuses_any_message_before_the_hubs_hello(msg):
     session = ClientSession(0, x, y)
     with pytest.raises(ProtocolError, match="before the hub's HELLO"):
         session.handle(msg)
-    assert session.e is x and session.blocks_deflated == 0 and not session.done
+    assert session.residuals.e is x and len(session.residuals.trace) == 1 and not session.done
 
 
 def test_client_session_rejects_inf_data():
@@ -832,8 +899,8 @@ def test_client_session_neither_copies_nor_writes_its_data():
     clients = [make_dataset(69), make_dataset(70)]
     originals = [(x.tobytes(), y.tobytes()) for x, y in clients]
     session = ClientSession(0, *clients[0])
-    assert np.shares_memory(session.e, clients[0][0])
-    assert np.shares_memory(session.f, clients[0][1])
+    assert np.shares_memory(session.residuals.e, clients[0][0])
+    assert np.shares_memory(session.residuals.f, clients[0][1])
     model = run_federated_fit(clients, CFG)
     assert model.n_blocks == 2
     assert [(x.tobytes(), y.tobytes()) for x, y in clients] == originals
