@@ -18,7 +18,15 @@ from typing import Optional
 import numpy as np
 
 from .sparse_tucker import DEFAULT_RANK_CAP, AceError, Block, HyperGrid, ace, coefficient
-from .tensor import _block_rows, _sample_matrix, as_matrix, as_tensor, frobenius_norm, multilinear_product, vec
+from .tensor import (
+    _block_rows,
+    _sample_matrix,
+    as_matrix,
+    as_tensor,
+    frobenius_norm,
+    multilinear_product,
+    vec,
+)
 
 __all__ = [
     "FitError",

@@ -21,8 +21,19 @@ from typing import Optional
 import numpy as np
 
 from .bttr import Block, BttrModel, FitConfig, FitError, Residuals, materialize_predictor
-from .sparse_tucker import (AceError, AceResult, NonFiniteScoreError, SparseTuckerResult, ace, block_from,
-                            coefficient, collapse_response_mode, component_contributions, f_mpstd, finalize_block)
+from .sparse_tucker import (
+    AceError,
+    AceResult,
+    NonFiniteScoreError,
+    SparseTuckerResult,
+    ace,
+    block_from,
+    coefficient,
+    collapse_response_mode,
+    component_contributions,
+    f_mpstd,
+    finalize_block,
+)
 from .tensor import multilinear_product
 from .transport import DEFAULT_ROUND_TIMEOUT, ClientDropout, LoopbackTransport, ProtocolError, SocketChannel
 from .wire import (
@@ -56,7 +67,9 @@ def aggregation_weights(sample_counts) -> np.ndarray:
     counts = np.asarray(sample_counts, dtype=np.float64)
     if counts.size == 0 or np.any(counts <= 0):
         raise ValueError("sample counts must be positive")
-    return counts / counts.sum()
+    w = counts / counts.sum()
+    assert abs(w.sum() - 1.0) < 1e-12
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +131,8 @@ def client_local_block(e, f, own: AceResult, target_ranks, rank_cap: int) -> Blo
 def client_deflate(residuals: Residuals, gb: Block, own: Optional[AceResult] = None) -> None:
     """Deflate a client's ``residuals`` by the broadcast global block ``gb``.
 
-    A ``gb`` that is byte for byte ``own.block``, this round's report, is
-    deflated by ``own``'s score, block core and coefficient, as
+    A ``gb`` that is byte for byte ``own.block``, the block the client
+    reported this round, is deflated by ``own``'s score, block core and coefficient, as
     :func:`~fbttr.bttr.fit` deflates.  Any other block has its score vector
     recomputed from its factors and score core, its block core projected
     from the residual and its coefficient fitted locally.  A zero score
@@ -247,17 +260,19 @@ def aggregate_block(updates) -> Block:
 class ClientSession:
     """One client's whole state and its protocol driver.
 
-    ``residuals`` (:class:`~fbttr.bttr.Residuals`) never leaves the client.
-    The stop rule is decided once per round, when the client reports:
-    ``_round`` is (round, AceResult or None for a skip), which a retry
-    reports again, a HYPER_ASSIGN builds on and a GLOBAL_BLOCK that is the
-    client's own deflates by.  Any message but HELLO before the hub's
-    config, a JOIN, a HYPER_ASSIGN naming the wrong number of feature modes
-    or a target rank outside 1 and the round's own rank, a GLOBAL_BLOCK
-    that does not fit the client's shapes, is not :meth:`~Block.is_sound`,
-    exceeds the rank cap or has no finite score direction here, and a
-    RETRY_ROUND for a round other than the one last reported, raise
-    :class:`ProtocolError` before any decomposition or deflation.
+    ``residuals`` (:class:`~fbttr.bttr.Residuals`) never leaves the client,
+    and every check on a GLOBAL_BLOCK comes before a deflation writes it, so
+    a refused block leaves it as it was.  The stop rule is decided once per
+    round, when the client reports: ``_round`` is (round, AceResult or None
+    for a skip), which a retry reports again, a HYPER_ASSIGN builds on and a
+    GLOBAL_BLOCK that is the client's own deflates by.  Any message but
+    HELLO before the hub's config, a JOIN, a HYPER_ASSIGN naming the wrong
+    number of feature modes or a target rank outside 1 and the round's own
+    rank, a GLOBAL_BLOCK that does not fit the client's shapes, is not
+    :meth:`~Block.is_sound`, exceeds the rank cap or has no finite score
+    direction here, and a RETRY_ROUND for a round other than the one last
+    reported, raise :class:`ProtocolError` before any decomposition or
+    deflation.
     """
 
     def __init__(self, client_id: int, x, y):
@@ -344,7 +359,9 @@ def _recv_expect(transport, cid: int, kind: MessageKind, rnd: int) -> Message:
     """Next message of the expected kind, discarding stale frames from aborted rounds."""
     for _ in range(MAX_STALE_FRAMES):
         msg = transport.recv(cid)
-        if (msg.kind == kind and msg.round == rnd) or msg.kind == MessageKind.ERROR:
+        if msg.kind == kind and msg.round == rnd:
+            return msg
+        if msg.kind == MessageKind.ERROR:
             return msg
     raise ProtocolError(f"client {cid} flooded unexpected messages")
 
@@ -443,14 +460,18 @@ def _run_round(transport, live, rnd: int, feature_shape, n_responses: int, cfg: 
         msg = _recv_expect(transport, cid, MessageKind.BLOCK_UPDATE, rnd)
         if _aggregable(msg, feature_shape, n_responses, target):
             updates.append(msg.payload)
-    return aggregate_block(updates) if updates else None
+    if not updates:
+        return None
+    return aggregate_block(updates)
 
 
 def federated_fit_over(transport, cfg: FitConfig) -> BttrModel:
     """Drive the hub protocol over an already-connected transport."""
     feature_shape, n_responses = _handshake(transport, cfg)
     blocks = []
-    for rnd in range(1, cfg.max_blocks + 1):
+    rnd = 0
+    while rnd < cfg.max_blocks:
+        rnd += 1
         retried = False
         while True:
             try:

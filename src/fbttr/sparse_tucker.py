@@ -143,13 +143,13 @@ class Block:
             and self.q.shape == (n_responses, 1)
         )
 
-    def is_sound(self, atol: float = 1e-8) -> bool:
+    def is_sound(self) -> bool:
         """Whether ``d`` and both cores are finite and ``q`` and every factor
-        have orthonormal columns within ``atol``, as :func:`ace` and an
-        aggregate make them, so deflating by the block cannot overflow."""
+        have orthonormal columns within 1e-8, as :func:`ace` and an aggregate
+        make them, so deflating by the block cannot overflow."""
         finite = math.isfinite(self.d) and np.isfinite(self.core).all() and np.isfinite(self.score_core).all()
         return bool(finite) and all(
-            np.all(np.abs(m) <= 1.0 + atol) and np.allclose(m.T @ m, np.eye(m.shape[1]), rtol=0, atol=atol)
+            np.all(np.abs(m) <= 1.0 + 1e-8) and np.allclose(m.T @ m, np.eye(m.shape[1]), rtol=0, atol=1e-8)
             for m in [self.q] + list(self.factors)
         )
 
