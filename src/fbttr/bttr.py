@@ -20,12 +20,13 @@ import numpy as np
 from .sparse_tucker import DEFAULT_RANK_CAP, AceError, Block, HyperGrid, ace, coefficient
 from .tensor import (
     _block_rows,
+    _checked_samples,
+    _multilinear_product,
     _sample_matrix,
+    _unfold,
     as_matrix,
     as_tensor,
     frobenius_norm,
-    multilinear_product,
-    vec,
 )
 
 __all__ = [
@@ -83,8 +84,7 @@ class NormStats:
 
     @classmethod
     def from_training(cls, x, y, scale_y: bool = True) -> "NormStats":
-        x = as_tensor(x, min_order=2)
-        y = as_matrix(y)
+        x, y = _checked_samples(x, y)
         x_std = x.std(axis=0)
         y_std = y.std(axis=0) if scale_y else np.ones(y.shape[1])
         y_mean = y.mean(axis=0) if scale_y else np.zeros(y.shape[1])
@@ -130,7 +130,7 @@ def expand(core, factors) -> np.ndarray:
     """A block in feature space, ``core x_2 P_2 ... x_N P_N`` with
     ``factors`` = [P_2, ..., P_N]; mode 1 is left alone, so a core of
     mode-1 extent 1 gives the feature shape with a leading 1."""
-    return multilinear_product(core, {n + 2: f for n, f in enumerate(factors)})
+    return _multilinear_product(core, {n + 2: f for n, f in enumerate(factors)})
 
 
 def materialize_predictor(blocks, input_shape) -> tuple:
@@ -154,8 +154,8 @@ def materialize_predictor(blocks, input_shape) -> tuple:
     z = np.zeros((k, m))
     loadings = np.zeros((d_total, k))
     for i, b in enumerate(blocks):
-        raw = vec(expand(b.score_core, b.factors))
-        loadings[:, i] = vec(expand(b.core, b.factors))
+        raw = _unfold(expand(b.score_core, b.factors), 1).ravel()
+        loadings[:, i] = _unfold(expand(b.core, b.factors), 1).ravel()
         w[:, i] = raw - w[:, :i] @ (loadings[:, :i].T @ raw)
         z[i, :] = b.d * b.q.ravel()
     return w, z
@@ -194,10 +194,8 @@ class Residuals:
     """
 
     def __init__(self, x, y):
-        self.x = self.e = as_tensor(x, min_order=2)
-        self.f = as_matrix(y)
-        if self.f.shape[0] != self.x.shape[0]:
-            raise ValueError(f"sample count mismatch: x has {self.x.shape[0]}, y has {self.f.shape[0]}")
+        self.x, self.f = _checked_samples(x, y)
+        self.e = self.x
         self.trace = [(frobenius_norm(self.e), frobenius_norm(self.f))]
 
     def deflate(self, core, factors, q, d, t) -> None:
@@ -271,8 +269,7 @@ def select_k_cv(x, y, cfg: FitConfig, folds: int, task: str = "regression") -> i
     """
     from .metrics import pearson_r, roc_auc
 
-    x = as_tensor(x, min_order=2)
-    y = as_matrix(y)
+    x, y = _checked_samples(x, y)
     n = x.shape[0]
     if folds < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")

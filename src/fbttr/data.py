@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import _mode_product_view, as_matrix, as_tensor, frobenius_norm, multilinear_product
+from .tensor import _mode_product_view, _multilinear_product, as_tensor, frobenius_norm
 
 TASKS = ("regression", "binary", "survival")
 
@@ -303,7 +303,7 @@ def make_synthetic(shape, n_blocks: int, noise_snr_db=None, seed: int = 0,
         core *= 2.0 * 0.7**k / frobenius_norm(core)
         fmap = {1: t}
         fmap.update({i + 2: p for i, p in enumerate(ps[:-1])})
-        x_clean += _mode_product_view(multilinear_product(core, fmap), as_matrix(ps[-1]), len(shape))
+        x_clean += _mode_product_view(_multilinear_product(core, fmap), ps[-1], len(shape))
         q = q_all[:, k % q_all.shape[1]:k % q_all.shape[1] + 1]
         d = 3.0 * 0.8**k
         y_clean = y_clean + d * (t @ q.T)

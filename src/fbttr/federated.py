@@ -34,7 +34,7 @@ from .sparse_tucker import (
     f_mpstd,
     finalize_block,
 )
-from .tensor import multilinear_product
+from .tensor import _multilinear_product
 from .transport import DEFAULT_ROUND_TIMEOUT, ClientDropout, LoopbackTransport, ProtocolError, SocketChannel
 from .wire import (
     AceReport,
@@ -67,9 +67,7 @@ def aggregation_weights(sample_counts) -> np.ndarray:
     counts = np.asarray(sample_counts, dtype=np.float64)
     if counts.size == 0 or np.any(counts <= 0):
         raise ValueError("sample counts must be positive")
-    w = counts / counts.sum()
-    assert abs(w.sum() - 1.0) < 1e-12
-    return w
+    return counts / counts.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -93,11 +91,8 @@ def harmonize_ranks(reports: dict) -> tuple:
 
 
 def truncate_to_ranks(res: SparseTuckerResult, target_ranks) -> SparseTuckerResult:
-    """Keep the highest-contribution components per feature mode, original order."""
-    if len(target_ranks) != len(res.factors):
-        raise ProtocolError(
-            f"assignment names {len(target_ranks)} feature modes, decomposition has {len(res.factors)}"
-        )
+    """Keep the highest-contribution components per feature mode, original order,
+    at ``target_ranks``: one rank per feature mode, as a client checks its HYPER_ASSIGN."""
     core = res.core
     factors = []
     for n, (f, tgt) in enumerate(zip(res.factors, target_ranks)):
@@ -208,14 +203,12 @@ def aggregate_block(updates) -> Block:
     """Sample-count-weighted average of the aligned blocks of non-skip updates.
 
     A lone update's block is broadcast as sent, with no QR and no rescaling.
-    Updates must share shapes (guaranteed by rank harmonisation).  Averaged
-    factors are re-orthonormalised by a thin QR with the triangular
-    correction absorbed into both cores; the averaged loading is rescaled
-    to unit norm with the scale absorbed into the coefficient.
+    The hub passes at least one, and all share shapes (rank harmonisation).
+    Averaged factors are re-orthonormalised by a thin QR with the triangular
+    correction absorbed into both cores; the averaged loading is rescaled to
+    unit norm with the scale absorbed into the coefficient.
     """
     updates = list(updates)
-    if not updates:
-        raise ValueError("no updates to aggregate")
     if len(updates) == 1:
         return updates[0].block
     ref, *rest = [u.block for u in updates]
@@ -243,8 +236,8 @@ def aggregate_block(updates) -> Block:
         signs[signs == 0] = 1.0
         qmat = qmat * signs
         rmat = rmat * signs[:, None]
-        core = multilinear_product(core, {n + 2: rmat})
-        score_core = multilinear_product(score_core, {n + 2: rmat})
+        core = _multilinear_product(core, {n + 2: rmat})
+        score_core = _multilinear_product(score_core, {n + 2: rmat})
         ortho.append(qmat)
 
     q_norm = float(np.linalg.norm(q))
@@ -265,13 +258,14 @@ class ClientSession:
     a refused block leaves it as it was.  The stop rule is decided once per
     round, when the client reports: ``_round`` is (round, AceResult or None
     for a skip), which a retry reports again, a HYPER_ASSIGN builds on and a
-    GLOBAL_BLOCK that is the client's own deflates by.  Any message but
+    GLOBAL_BLOCK that is the client's own deflates by; the report is open
+    until that GLOBAL_BLOCK, and the last round's closes it.  Any message but
     HELLO before the hub's config, a JOIN, a HYPER_ASSIGN naming the wrong
     number of feature modes or a target rank outside 1 and the round's own
     rank, a GLOBAL_BLOCK that does not fit the client's shapes, is not
     :meth:`~Block.is_sound`, exceeds the rank cap or has no finite score
-    direction here, and a RETRY_ROUND for a round other than the one last
-    reported, raise :class:`ProtocolError` before any decomposition or
+    direction here, and a GLOBAL_BLOCK or a RETRY_ROUND for a round with no
+    open report, raise :class:`ProtocolError` before any decomposition or
     deflation.
     """
 
@@ -330,21 +324,28 @@ class ClientSession:
             return [self._msg(MessageKind.BLOCK_UPDATE, msg.round, update)]
         if msg.kind == MessageKind.GLOBAL_BLOCK:
             gb = msg.payload
+            if msg.round != self._round[0]:
+                raise ProtocolError(f"round {msg.round} global block, but this client has no "
+                                    f"open report of that round")
             if not (gb.fits(r.x.shape[1:], r.f.shape[1]) and gb.is_sound()
                     and all(rank <= self.cfg.rank_cap for rank in gb.feature_ranks)):
                 raise ProtocolError(f"round {msg.round} global block does not fit this client")
             if not self.cfg.stops(*r.trace[-1]):
-                client_deflate(r, gb, self._round[1] if self._round[0] == msg.round else None)
-            # the next round's report is the acknowledgement; the last round has none
-            return [self._ace_report(msg.round + 1)] if msg.round < self.cfg.max_blocks else []
+                client_deflate(r, gb, self._round[1])
+            # the next round's report is the acknowledgement and opens that round;
+            # the last round has none, so its report is closed here
+            if msg.round < self.cfg.max_blocks:
+                return [self._ace_report(msg.round + 1)]
+            self._round = (None, None)
+            return []
         if msg.kind == MessageKind.DONE:
             self.done = True
             return []
         if msg.kind == MessageKind.ERROR:
             if msg.payload.code == ErrorCode.RETRY_ROUND:
                 if msg.round != self._round[0]:
-                    raise ProtocolError(f"retry of round {msg.round}, but this client last "
-                                        f"reported round {self._round[0]}")
+                    raise ProtocolError(f"retry of round {msg.round}, but this client has no "
+                                        f"open report of that round")
                 return [self._ace_report(msg.round)]
             self.done = True
             return []

@@ -16,16 +16,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+# cross_covariance and multilinear_product are the unchecked kernels, under the
+# names a tracer patches: every caller here passes arrays checked or made here
 from .tensor import (
     _block_rows,
+    _checked_samples,
+    _cross_covariance as cross_covariance,
+    _frobenius_norm,
     _mode_product,
+    _multilinear_product as multilinear_product,
     _unfold,
-    as_matrix,
     as_tensor,
-    cross_covariance,
     frobenius_norm,
-    multilinear_product,
-    vec,
 )
 
 DEFAULT_RANK_CAP = 10
@@ -204,8 +206,7 @@ def _hooi_sweep(c: np.ndarray, mats: list, ranks) -> tuple:
         else:
             later = {m + 1: mats[m].T for m in range(n + 1, c.ndim)}
             mats[n] = _leading_vectors(_unfold(multilinear_product(head, later), n + 1), ranks[n])
-        # the contiguous transpose is what multilinear_product's check hands np.dot
-        head = _mode_product(head, np.ascontiguousarray(mats[n].T), n + 1)
+        head = _mode_product(head, mats[n].T, n + 1)
     return mats, head
 
 
@@ -236,7 +237,7 @@ def hooi_init(c, max_ranks) -> SparseTuckerResult:
     prev_norm = None
     for _ in range(100):
         mats, core = _hooi_sweep(c, mats, ranks)
-        core_norm = frobenius_norm(core)
+        core_norm = _frobenius_norm(core)
         if prev_norm is not None and abs(core_norm - prev_norm) < 1e-8:
             break
         prev_norm = core_norm
@@ -336,7 +337,7 @@ class GridSearch:
     """The context every grid cell runs in: the checked ``c`` and its
     squared norm ``c_sq``, its HOOI start at ranks capped at ``rank_cap``
     per mode, and the factor refreshes of the current and the previous SNR
-    row.  The search checks ``c`` once; its cells check nothing.
+    row.  ``c`` is checked once, by :func:`hooi_init`; the cells check nothing.
 
     One :func:`ace` call runs all its cells in one search; :func:`f_mpstd`
     runs its one cell in a search of its own.  A refresh depends only on
@@ -351,7 +352,7 @@ class GridSearch:
     """
 
     def __init__(self, c, rank_cap: int):
-        self.c = as_tensor(c)
+        self.c = c
         self.c_sq = float(np.dot(self.c.ravel(), self.c.ravel()))
         self.init = hooi_init(self.c, [min(ext, rank_cap) for ext in self.c.shape])
         self.row, self.last_row = {}, {}
@@ -394,7 +395,7 @@ def f_mpstd_cov(search: GridSearch, snr: float, tau: float) -> SparseTuckerResul
         core, magnitude = soft_threshold(core, magnitude, lam)
         core, mats = prune(core, mats, magnitude, tau)
         converged = prev_core is not None and prev_core.shape == core.shape and (
-            frobenius_norm(core - prev_core) <= SWEEP_TOL * frobenius_norm(prev_core)
+            _frobenius_norm(core - prev_core) <= SWEEP_TOL * _frobenius_norm(prev_core)
         )
         if converged or sweep == MAX_SWEEPS:
             return SparseTuckerResult(core, mats[0], mats[1:], converged)
@@ -406,9 +407,9 @@ def f_mpstd(x, y, snr: float, tau: float, rank_cap: int = DEFAULT_RANK_CAP) -> S
     """Sparse Tucker decomposition of the cross-covariance of (x, y): one
     :func:`f_mpstd_cov` cell in a :class:`GridSearch` of its own.  The
     (SNR, tau) pair comes from outside any grid, so it is checked here by
-    the :class:`HyperGrid` rule."""
+    the :class:`HyperGrid` rule, and ``x`` and ``y`` as :func:`ace` checks them."""
     HyperGrid((snr,), (tau,))
-    return f_mpstd_cov(GridSearch(cross_covariance(x, y), rank_cap), snr, tau)
+    return f_mpstd_cov(GridSearch(cross_covariance(*_checked_samples(x, y)), rank_cap), snr, tau)
 
 
 def bic_score(c, result: SparseTuckerResult) -> float:
@@ -416,11 +417,10 @@ def bic_score(c, result: SparseTuckerResult) -> float:
 
     The penalty weighs the count of nonzero core entries by log(s)/s where
     s is the total core entry count; the residual is floored at 1e-12 so a
-    perfect reconstruction stays finite.  ``c`` is the search's checked
-    tensor; the checked :meth:`SparseTuckerResult.reconstruct` rejects a
-    non-finite core.
+    perfect reconstruction stays finite.  Nothing is checked: a core that
+    turned non-finite gives a BIC that is not finite, which :func:`ace` skips.
     """
-    resid = frobenius_norm(c - result.reconstruct())
+    resid = _frobenius_norm(c - result.reconstruct())
     s = result.core.size
     df = int(np.count_nonzero(result.core))
     return math.log(max(resid, 1e-12) / s) + (math.log(s) / s) * df
@@ -454,7 +454,6 @@ def finalize_block(x, core, factors):
     fewer columns differently, so such a ``proj`` can differ from the
     whole-tensor product in its last bits.
     """
-    x = np.asarray(x)
     projectors = {n + 2: f.T for n, f in enumerate(factors)}
     step = _block_rows(x)
     if step >= x.shape[0]:
@@ -463,7 +462,7 @@ def finalize_block(x, core, factors):
         proj = np.empty(x.shape[:1] + tuple(f.shape[1] for f in factors))
         for s in range(0, x.shape[0], step):
             proj[s:s + step] = multilinear_product(x[s:s + step], projectors)
-    t_raw = _unfold(proj, 1) @ vec(core)
+    t_raw = _unfold(proj, 1) @ _unfold(core, 1).ravel()
     rho = float(np.linalg.norm(t_raw))
     if not math.isfinite(rho):
         raise NonFiniteScoreError("score direction is not finite")
@@ -496,12 +495,11 @@ def ace(x, y, grid: HyperGrid = None, rank_cap: int = DEFAULT_RANK_CAP) -> AceRe
     not recomputed.  Cells are scored by :func:`bic_score`; a cell that
     raises ``ValueError`` in its sweeps or its score is skipped.  The winner
     is the first cell of minimal BIC in row-major order (SNR outer, tau
-    inner), so a tie goes to the smaller SNR, then the smaller tau.  The
-    winning decomposition becomes the result's block through
-    :func:`block_from`.
+    inner), so a tie goes to the smaller SNR, then the smaller tau, and a
+    cell whose BIC is not finite never wins.  The winning decomposition
+    becomes the result's block through :func:`block_from`.
     """
-    x = as_tensor(x, min_order=2)
-    y = as_matrix(y)
+    x, y = _checked_samples(x, y)
     grid = grid or HyperGrid()
     try:
         search = GridSearch(cross_covariance(x, y), rank_cap)
@@ -517,7 +515,7 @@ def ace(x, y, grid: HyperGrid = None, rank_cap: int = DEFAULT_RANK_CAP) -> AceRe
                 b = bic_score(search.c, res)
             except ValueError:
                 continue
-            if best is None or b < best[0]:
+            if math.isfinite(b) and (best is None or b < best[0]):
                 best = (b, snr, tau, res)
     # free the cache before finalize_block's sample-sized projection, so it
     # can reuse its memory instead of growing the heap

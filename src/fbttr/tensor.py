@@ -23,6 +23,7 @@ data in the same blocks (:func:`_block_rows`).
 
 from __future__ import annotations
 
+import math
 from typing import Mapping
 
 import numpy as np
@@ -120,23 +121,13 @@ def vec(t) -> np.ndarray:
     return _unfold(t, 1).ravel()
 
 
-def _checked_factor(t: np.ndarray, m, mode: int) -> np.ndarray:
-    m = as_matrix(m)
-    _check_mode(t, mode)
-    if m.shape[1] != t.shape[mode - 1]:
-        raise ValueError(
-            f"mode-{mode} product needs cols(m)={t.shape[mode - 1]}, got {m.shape[1]}"
-        )
-    return m
-
-
 def _mode_product_view(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
     """The values of :func:`_mode_product` as a transposed view of the
     ``np.dot`` output, for a caller that reads them once."""
     k = mode - 1
     rest = [i for i in range(t.ndim) if i != k]
     moved = t.transpose([k] + rest).reshape(t.shape[k], -1)
-    out = np.dot(m, moved).reshape([m.shape[0]] + [t.shape[i] for i in rest])
+    out = np.dot(np.ascontiguousarray(m), moved).reshape([m.shape[0]] + [t.shape[i] for i in rest])
     return out.transpose(list(range(1, mode)) + [0] + list(range(mode, t.ndim)))
 
 
@@ -146,7 +137,8 @@ def _mode_product(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
     ``np.tensordot(m, t, axes=(1, mode - 1))`` written out, so ``np.dot``
     sees the same operands and the result is byte-identical; the transposed
     copy of ``t`` is dropped before the contiguous result is made, as it is
-    when ``tensordot`` returns.
+    when ``tensordot`` returns.  ``m`` reaches ``np.dot`` C-contiguous, as
+    :func:`as_matrix` makes it, since a transposed view can take another BLAS path.
     """
     return np.ascontiguousarray(_mode_product_view(t, m, mode))
 
@@ -193,8 +185,7 @@ def _sample_matrix(x: np.ndarray) -> np.ndarray:
 
 def mode_n_product(t, m, mode: int) -> np.ndarray:
     """Mode-n product: contract ``m`` (rows x I_mode) against mode ``mode`` of ``t``."""
-    t = as_tensor(t)
-    return _mode_product(t, _checked_factor(t, m, mode), mode)
+    return multilinear_product(t, {mode: m})
 
 
 def multilinear_product(t, factors: Mapping[int, np.ndarray]) -> np.ndarray:
@@ -202,11 +193,22 @@ def multilinear_product(t, factors: Mapping[int, np.ndarray]) -> np.ndarray:
 
     ``t`` and every factor are checked once, before any product is taken.
     """
-    out = as_tensor(t)
-    checked = [(mode, _checked_factor(out, factors[mode], mode)) for mode in sorted(factors)]
-    for mode, m in checked:
-        out = _mode_product(out, m, mode)
-    return out
+    t = as_tensor(t)
+    checked = {mode: as_matrix(m) for mode, m in factors.items()}
+    for mode, m in checked.items():
+        _check_mode(t, mode)
+        if m.shape[1] != t.shape[mode - 1]:
+            raise ValueError(f"mode-{mode} product needs cols(m)={t.shape[mode - 1]}, "
+                             f"got {m.shape[1]}")
+    return _multilinear_product(t, checked)
+
+
+def _multilinear_product(t: np.ndarray, factors: Mapping[int, np.ndarray]) -> np.ndarray:
+    """Unchecked :func:`multilinear_product` of a C-contiguous float64 ``t``
+    and validated factors, which may be transposed views (:func:`_mode_product`)."""
+    for mode in sorted(factors):
+        t = _mode_product(t, factors[mode], mode)
+    return t
 
 
 def kronecker(a, b) -> np.ndarray:
@@ -227,7 +229,22 @@ def kron_factors(factors) -> np.ndarray:
 
 
 def frobenius_norm(t) -> float:
-    return float(np.linalg.norm(np.asarray(t, dtype=np.float64).ravel()))
+    """The Frobenius norm, :func:`_frobenius_norm` of ``t`` as float64; when
+    the sum of squares of finite entries overflows, it is taken again from
+    ``t`` over its largest magnitude."""
+    a = np.asarray(t, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        norm = _frobenius_norm(a)
+    if math.isinf(norm) and np.isfinite(a).all():
+        top = float(np.max(np.abs(a)))
+        norm = top * _frobenius_norm(a / top)
+    return norm
+
+
+def _frobenius_norm(a: np.ndarray) -> float:
+    """Unchecked ``sqrt(dot(a, a))`` of a float64 array whose sum of squares
+    the caller knows to be finite; an overflow warns and gives inf."""
+    return float(np.linalg.norm(a.ravel()))
 
 
 def cross_covariance(x, y) -> np.ndarray:
@@ -238,12 +255,21 @@ def cross_covariance(x, y) -> np.ndarray:
     (m, i_2..i_N) = sum_s y[s, m] * x[s, i_2..i_N].  No centering is applied;
     z-scoring is the caller's responsibility.
     """
+    return _cross_covariance(*_checked_samples(x, y))
+
+
+def _checked_samples(x, y) -> tuple:
+    """``x`` checked as a samples-first tensor and ``y`` as a matrix with as many rows."""
     x = as_tensor(x, min_order=2)
     y = as_matrix(y)
     if y.shape[0] != x.shape[0]:
         raise ValueError(f"sample count mismatch: x has {x.shape[0]}, y has {y.shape[0]}")
-    out = np.tensordot(y, x, axes=(0, 0))
-    return np.ascontiguousarray(out)
+    return x, y
+
+
+def _cross_covariance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Unchecked :func:`cross_covariance` of a C-contiguous float64 pair the caller has validated."""
+    return np.ascontiguousarray(np.tensordot(y, x, axes=(0, 0)))
 
 
 def outer(*vectors) -> np.ndarray:

@@ -11,6 +11,7 @@ from fbttr.bttr import (
     FitConfig,
     FitError,
     NormStats,
+    Residuals,
     deflate,
     fit,
     materialize_predictor,
@@ -190,6 +191,13 @@ def test_residual_trace_length_and_recovery():
     model2 = fit(x2, y2, FitConfig(max_blocks=2, grid=SMALL_GRID))
     trace2 = residual_trace(model2)
     assert trace2[-1][1] < 0.05 * trace2[0][1]
+
+
+def test_residual_trace_of_data_whose_sum_of_squares_overflows_is_finite():
+    x = np.full((10, 4, 3), 1e160)
+    e_norm, f_norm = Residuals(x, np.ones((10, 1))).trace[0]
+    assert e_norm == pytest.approx(1e160 * np.sqrt(120), rel=1e-15)
+    assert f_norm == np.sqrt(10)
 
 
 def test_residual_trace_requires_retention():

@@ -844,6 +844,27 @@ def test_retry_of_a_round_the_client_did_not_report_is_refused(monkeypatch):
     assert len(extractions) == 1
 
 
+@pytest.mark.parametrize("max_blocks", [1, 3])
+def test_a_global_block_is_deflated_by_once_and_only_in_its_round(max_blocks):
+    # a block of a round the client has not reported, a repeat of the block
+    # it has deflated by, and after the last round any block, are refused
+    x, y = make_dataset(82)
+    session = ClientSession(0, x, y)
+    session.handle(hub_hello(FitConfig(max_blocks=max_blocks, epsilon=1e-8, grid=GRID)))
+    gb = _global_block(x, y, None)
+    r = session.residuals
+    with pytest.raises(ProtocolError, match="global block"):
+        session.handle(Message(MessageKind.GLOBAL_BLOCK, 2, 0, gb))
+    assert r.e is x and len(r.trace) == 1
+    session.handle(Message(MessageKind.GLOBAL_BLOCK, 1, 0, gb))
+    e, f, trace, residual = r.e, r.f, list(r.trace), r.e.tobytes()
+    assert len(trace) == 2
+    for rnd in (1, 1, 0, max_blocks + 1):
+        with pytest.raises(ProtocolError, match="global block"):
+            session.handle(Message(MessageKind.GLOBAL_BLOCK, rnd, 0, gb))
+    assert r.e is e and r.f is f and r.e.tobytes() == residual and r.trace == trace
+
+
 def test_clients_deflate_their_own_residual_in_place_and_never_write_their_data(monkeypatch):
     # blocks of 4 samples, so every deflation and projection runs block by block
     clients = [make_dataset(80, n=18), make_dataset(81, n=15)]

@@ -722,12 +722,9 @@ def test_grid_search_refresh_that_lowers_a_rank():
     assert search.refresh(mats) is got
 
 
-def test_ace_skips_a_cell_whose_core_turns_non_finite(monkeypatch):
-    # the cell steps check nothing; a cell whose core goes NaN is still a
-    # failed cell, skipped like one, and another cell wins
-    x, y = planted_or_noise("planted")
-    clean = ace(x, y, CACHE_GRID)
-    poisoned, cell = (clean.snr_star, clean.tau_star), [None]
+def _ace_with_a_poisoned_cell(monkeypatch, x, y, poisoned):
+    # ace on CACHE_GRID, with the core of the cell ``poisoned`` turned NaN
+    cell = [None]
     real_cell, real_shrink = st.f_mpstd_cov, st.soft_threshold
 
     def tracking(search, snr, tau):
@@ -746,6 +743,21 @@ def test_ace_skips_a_cell_whose_core_turns_non_finite(monkeypatch):
     block = got.block
     for m in [block.core, block.score_core, block.q, got.t] + block.factors:
         assert np.isfinite(m).all()
+
+
+def test_ace_skips_a_cell_whose_core_turns_non_finite(monkeypatch):
+    # the cell steps check nothing; a cell whose core goes NaN is still a
+    # failed cell, skipped like one, and another cell wins
+    x, y = planted_or_noise("planted")
+    clean = ace(x, y, CACHE_GRID)
+    _ace_with_a_poisoned_cell(monkeypatch, x, y, (clean.snr_star, clean.tau_star))
+
+
+def test_ace_skips_a_first_cell_whose_bic_is_not_finite(monkeypatch):
+    # a NaN BIC compares false with every other, so a first cell that
+    # scored NaN would keep the lead if it were not skipped
+    x, y = planted_or_noise("planted")
+    _ace_with_a_poisoned_cell(monkeypatch, x, y, (CACHE_GRID.snr_values[0], CACHE_GRID.tau_values[0]))
 
 
 def test_hypergrid_validation():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from fbttr import tensor
 from fbttr.tensor import (
+    _multilinear_product,
     _sample_matrix,
     _unfold,
     as_tensor,
@@ -255,6 +257,21 @@ def test_frobenius_norm_values():
     assert frobenius_norm(np.array([3.0, 4.0])) == pytest.approx(5.0, abs=1e-15)
 
 
+def test_frobenius_norm_of_finite_entries_does_not_overflow():
+    # the sum of squares of 120 entries of 1e160 overflows; the norm does not,
+    # and no RuntimeWarning is raised
+    assert frobenius_norm(np.full((10, 4, 3), 1e160)) == pytest.approx(1e160 * math.sqrt(120), rel=1e-15)
+    assert frobenius_norm(np.array([-np.inf, 1.0])) == math.inf
+    assert math.isnan(frobenius_norm(np.array([np.nan, 1e160, 1e160])))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.lists(st.floats(-1e100, 1e100), min_size=1, max_size=30))
+def test_frobenius_norm_is_sqrt_dot_whenever_that_is_finite(values):
+    a = np.array(values)
+    assert frobenius_norm(a) == float(np.sqrt(np.dot(a, a)))
+
+
 # ---------------------------------------------------------------------------
 # cross covariance
 # ---------------------------------------------------------------------------
@@ -385,6 +402,17 @@ def test_mode_products_equal_tensordot_byte_for_byte(case):
                           tensordot_mode_product(t, factors[mode], mode))
         expected = tensordot_mode_product(expected, factors[mode], mode)
     assert_same_bytes(multilinear_product(t, factors), expected)
+    # the unchecked kernel takes a transposed view as the checked call takes its copy
+    assert_same_bytes(_multilinear_product(t, factors), expected)
+
+
+@pytest.mark.parametrize("shape,mode,rows", [((34, 25, 20), 1, 4), ((2, 35, 30), 2, 3), ((25, 24, 26), 2, 2)])
+def test_unchecked_multilinear_product_of_a_transposed_view_is_the_checked_bytes(shape, mode, rows):
+    # on these shapes OpenBLAS 0.3.31 multiplies a transposed view by another
+    # path than its C-contiguous copy, so the kernel must make the copy
+    rng = np.random.default_rng(sum(shape))
+    t, view = rng.normal(size=shape), rng.normal(size=(shape[mode - 1], rows)).T
+    assert_same_bytes(_multilinear_product(t, {mode: view}), multilinear_product(t, {mode: view}))
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)

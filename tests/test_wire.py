@@ -200,7 +200,25 @@ def greeted():
     return session
 
 
-@pytest.mark.parametrize("msg", [m for m in sample_messages() if m.kind in HUB_KINDS],
+def sound_global_block() -> Message:
+    """A round-1 GLOBAL_BLOCK that :meth:`Block.is_sound` accepts, unlike
+    sample_messages()'s: orthonormal factors and a unit ``q``, so a damaged
+    copy whose damage keeps it sound reaches the client's deflation."""
+    rng = np.random.default_rng(2)
+    factors = [np.linalg.qr(rng.normal(size=(rows, 2)))[0] for rows in (5, 4)]
+    q = rng.normal(size=(2, 1))
+    block = Block(rng.normal(size=(1, 2, 2)), rng.normal(size=(1, 2, 2)), factors, q / np.linalg.norm(q), 0.5)
+    return Message(MessageKind.GLOBAL_BLOCK, 1, 3, block)
+
+
+def test_the_sound_global_block_is_deflated_by(greeted):
+    session = copy.deepcopy(greeted)
+    assert session.handle(sound_global_block()) == []
+    assert len(session.residuals.trace) == 2
+
+
+@pytest.mark.parametrize("msg", [m for m in sample_messages() if m.kind in HUB_KINDS]
+                         + [pytest.param(sound_global_block(), id="GLOBAL_BLOCK-sound")],
                          ids=lambda m: f"{m.kind.name}-{m.round}")
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(mutation=st.data())
