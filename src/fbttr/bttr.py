@@ -6,8 +6,9 @@ t_k, a response loading q_k and a coefficient d_k = u_k' t_k.  The
 residuals belong to :class:`Residuals`, which a fit and a federated client
 share, so a one-client federation is the centralized fit, bit for bit.
 Prediction is y_hat = unfold(x, 1) @ W @ Z (:func:`materialize_predictor`),
-the batch unfolded by :func:`fbttr.tensor._sample_matrix`, so a wide batch
-gathered block by block predicts the same bits as one unfolded in one copy.
+the batch aligned with W by :func:`fbttr.tensor._aligned`: a batch above
+``GATHER_BYTES`` is not unfolded but multiplied in its own C order by W's
+rows permuted to match, which moves a prediction by rounding only.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ import numpy as np
 
 from .sparse_tucker import DEFAULT_RANK_CAP, AceError, Block, HyperGrid, ace, coefficient
 from .tensor import (
+    _aligned,
     _block_rows,
     _checked_samples,
     _multilinear_product,
-    _sample_matrix,
     _unfold,
     as_matrix,
     as_tensor,
@@ -96,10 +97,16 @@ class NormStats:
         )
 
     def apply_x(self, x) -> np.ndarray:
-        return (as_tensor(x, min_order=2) - self.x_mean) / self.x_std
+        x = as_tensor(x, min_order=2)
+        if x.shape[1:] != self.x_mean.shape:
+            raise ValueError(f"feature shape {x.shape[1:]} does not match the statistics' {self.x_mean.shape}")
+        return (x - self.x_mean) / self.x_std
 
     def apply_y(self, y) -> np.ndarray:
-        return (as_matrix(y) - self.y_mean) / self.y_std
+        y = as_matrix(y)
+        if y.shape[1:] != self.y_mean.shape:
+            raise ValueError(f"{y.shape[1]} response(s) do not match the statistics' {self.y_mean.shape[0]}")
+        return (y - self.y_mean) / self.y_std
 
     def invert_y(self, scores) -> np.ndarray:
         return as_matrix(scores) * self.y_std + self.y_mean
@@ -248,7 +255,8 @@ def predict(model: BttrModel, x_test) -> np.ndarray:
         raise ValueError(
             f"test tensor feature shape {x_test.shape[1:]} does not match model {model.input_shape}"
         )
-    return _sample_matrix(x_test) @ model.w @ model.z
+    u, w = _aligned(x_test, model.w)
+    return u @ w @ model.z
 
 
 def residual_trace(model: BttrModel):
@@ -264,8 +272,8 @@ def select_k_cv(x, y, cfg: FitConfig, folds: int, task: str = "regression") -> i
     Folds are contiguous sample ranges (the data may be a time series, so
     no shuffling).  Scores are mean Pearson correlation per response for
     regression and ROC-AUC for binary tasks; ties go to the smaller K.
-    Each validation fold is unfolded once, and the first k blocks score it
-    as ``U @ W[:, :k] @ Z[:k]``.
+    Each validation fold is aligned with W once (:func:`fbttr.tensor._aligned`),
+    and the first k blocks score it as ``U @ V[:, :k] @ Z[:k]``.
     """
     from .metrics import pearson_r, roc_auc
 
@@ -281,9 +289,9 @@ def select_k_cv(x, y, cfg: FitConfig, folds: int, task: str = "regression") -> i
     for fi, val_idx in enumerate(fold_indices):
         train_idx = np.setdiff1d(np.arange(n), val_idx)
         model = fit(x[train_idx], y[train_idx], cfg)
-        u = _sample_matrix(x[val_idx])
+        u, v = _aligned(x[val_idx], model.w)
         for k in range(1, cfg.max_blocks + 1):
-            pred = u @ model.w[:, :k] @ model.z[:k]  # all blocks when k > n_blocks
+            pred = u @ v[:, :k] @ model.z[:k]  # all blocks when k > n_blocks
             try:
                 if task == "binary":
                     scores[fi, k - 1] = roc_auc(pred[:, 0], y[val_idx, 0])

@@ -18,9 +18,10 @@ Layout (all integers little-endian):
     [trace]             u32 count, then (e, f) f64 pairs
 
 Encoding of arrays, matrices, tensors and blocks follows :mod:`fbttr.binio`.
-A header without a feature mode or with an empty one, or normalization
+A header without a feature mode or with an empty one, normalization
 arrays or a block (see :meth:`fbttr.bttr.Block.fits`) that do not match
-the feature shape and response count, make a file invalid.  ``w`` and
+the feature shape and response count, and a NaN or inf in ``w``, ``z`` or
+the normalization arrays make a file invalid.  ``w`` and
 ``z`` are stored although :func:`fbttr.bttr.materialize_predictor`
 derives them from the blocks: on an 8-block rank-(10,10,10) model over
 32x16x20 features, deriving them takes about 4 ms and parsing them about
@@ -31,6 +32,8 @@ Files of other versions, ``FBTTRv01`` included, are rejected.
 from __future__ import annotations
 
 from math import prod
+
+import numpy as np
 
 from .binio import CodecError, Reader, Writer
 from .bttr import Block, BttrModel, NormStats
@@ -85,7 +88,7 @@ def model_from_bytes(data: bytes) -> BttrModel:
         if not input_shape or 0 in input_shape:
             raise ModelFormatError(f"order {order}, feature shape {input_shape}: a model needs features")
         flags = r.u8()
-        normalization = None
+        normalization, stats = None, []
         if flags & 1:
             stats = [r.array() for _ in range(4)]
             if [a.size for a in stats] != [prod(input_shape)] * 2 + [n_responses] * 2:
@@ -105,6 +108,8 @@ def model_from_bytes(data: bytes) -> BttrModel:
         raise ModelFormatError(f"{len(data) - r.pos} trailing bytes")
     if w.shape != (prod(input_shape), n_blocks) or z.shape != (n_blocks, n_responses):
         raise ModelFormatError(f"W {w.shape} or Z {z.shape} does not fit the header")
+    if not all(np.isfinite(a).all() for a in [w, z] + stats):
+        raise ModelFormatError("W, Z or the normalization holds NaN or inf")
     for k, b in enumerate(blocks, 1):
         if not b.fits(input_shape, n_responses):
             raise ModelFormatError(f"block {k} does not fit the header")

@@ -14,11 +14,13 @@ remaining mode varying fastest.  Under this convention
 The regression predictor is built with mode products; this identity, with
 :func:`kron_factors` on the right, is the reference tests check it against.
 
-A batch of samples meets the predictor as its mode-1 unfolding, which is
-F-contiguous: the layout that fixes how BLAS multiplies it, hence the last
-bits of every prediction.  :func:`_sample_matrix` builds that same matrix,
-gathering a wide batch one block of samples at a time.  A wide fit walks its
-data in the same blocks (:func:`_block_rows`).
+A batch of samples meets the predictor ``W`` through :func:`_aligned`.  A
+batch of at most :data:`GATHER_BYTES` meets it as its mode-1 unfolding, an
+F-contiguous copy whose layout fixes how BLAS multiplies it, hence the last
+bits of every prediction.  A wider batch is never copied: its C-ordered view
+meets ``W`` with its rows permuted into the batch's own feature order, the
+same sums to within rounding.  A wide fit walks its data in blocks of at
+most that many bytes (:func:`_block_rows`).
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from typing import Mapping
 import numpy as np
 
 MAX_ORDER = 8
-# A tensor of samples above this many bytes is unfolded for prediction, and
-# projected and deflated in a fit, one block of samples at a time, each block
-# at most this size (and at least one sample).
+# A tensor of samples above this many bytes is projected and deflated in a
+# fit one block of samples at a time, each block at most this size (and at
+# least one sample); a batch above it meets W in its own C order for prediction.
 GATHER_BYTES = 4 << 20
 
 __all__ = [
@@ -155,32 +157,21 @@ def _block_rows(x: np.ndarray) -> int:
     return max(1, GATHER_BYTES // (x.nbytes // x.shape[0]))
 
 
-def _sample_matrix(x: np.ndarray) -> np.ndarray:
-    """``_unfold(x, 1)`` of a validated, C-contiguous sample batch: the same
-    values in the same layout, so a product with it is the same BLAS call,
-    bit for bit.
+def _aligned(x: np.ndarray, w: np.ndarray) -> tuple:
+    """``(U, V)`` with ``U @ V`` equal to ``_unfold(x, 1) @ w`` for a validated
+    sample batch ``x`` and a matrix ``w`` with one row per unfolded feature.
 
-    The unfolding is a view of ``x`` when at most one feature extent exceeds
-    1, and otherwise an F-contiguous copy.  A batch of at most
-    :data:`GATHER_BYTES` is unfolded in one copy.  A larger one is written
-    into the F-ordered matrix one block of :func:`_block_rows` samples at a
-    time: the block's feature axes are first reversed into a
-    block-sized buffer, within each sample and so in cache, which puts its
-    rows in the unfolding's column order; the buffer is then transposed into
-    place.  One copy of a wide batch instead reads each cache line it
-    fetches for one value, and fetches it again for the next.
+    A batch of at most :data:`GATHER_BYTES`, or with at most one feature
+    extent above 1, gives ``(_unfold(x, 1), w)``: the product is the same
+    BLAS call, bit for bit.  A wider batch gives its C-ordered view and
+    ``w``'s rows permuted into that feature order, a copy of ``w`` and none
+    of ``x``; the product moves by rounding only.
     """
     if x.nbytes <= GATHER_BYTES or sum(e > 1 for e in x.shape[1:]) < 2:
-        return _unfold(x, 1)
-    n, step = x.shape[0], _block_rows(x)
-    out = np.empty((n, x.size // n), order="F")
-    block = np.empty((step,) + x.shape[:0:-1])  # a sample's features reversed: mode 2 fastest
-    reversed_into = block.transpose([0] + list(range(x.ndim - 1, 0, -1)))
-    for s in range(0, n, step):
-        m = min(step, n - s)
-        reversed_into[:m] = x[s:s + m]
-        out[s:s + m] = block[:m].reshape(m, -1)
-    return out
+        return _unfold(x, 1), w
+    feats, k = x.ndim - 1, w.shape[1]
+    rows = w.reshape(x.shape[:0:-1] + (k,)).transpose(list(range(feats - 1, -1, -1)) + [feats])
+    return x.reshape(x.shape[0], -1), rows.reshape(-1, k)
 
 
 def mode_n_product(t, m, mode: int) -> np.ndarray:

@@ -49,7 +49,8 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent.parent / "src"
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-# the prediction batch spans at least three 4 MiB gather blocks of its samples
+# the prediction batch is over three times tensor.GATHER_BYTES, so it meets W
+# in its own C order; its first five rows, one at a time, meet it unfolded
 BATCH_BYTES = 3 * (4 << 20)
 BLOCK_PATH_GATHER_BYTES = 64 << 10
 # work count -> the function whose calls it counts

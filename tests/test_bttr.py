@@ -23,7 +23,7 @@ from fbttr.data import make_synthetic
 from fbttr.federated import run_federated_fit
 from fbttr.sparse_tucker import HyperGrid, ace, finalize_block
 from fbttr.tensor import (
-    _sample_matrix,
+    _aligned,
     _unfold,
     frobenius_norm,
     kron_factors,
@@ -441,25 +441,48 @@ def test_select_k_cv_planted_single_block():
 
 
 @pytest.mark.parametrize("seed, k", [(20, 2), (24, 3)])
-def test_select_k_cv_gathers_each_fold_once(monkeypatch, seed, k):
+def test_select_k_cv_aligns_each_fold_once(monkeypatch, seed, k):
     # k is what select_k_cv chose when it unfolded each fold once per prefix
     rng = np.random.default_rng(seed)
     x, y, _ = plant_blocks(rng, 60, (5, 4), n_blocks=2, m=2, noise=0.05)
-    gathered = []
-    monkeypatch.setattr(bttr, "_sample_matrix", lambda u: gathered.append(u.shape) or _sample_matrix(u))
+    aligned = []
+    monkeypatch.setattr(bttr, "_aligned", lambda u, w: aligned.append(u.shape) or _aligned(u, w))
     assert select_k_cv(x, y, FitConfig(max_blocks=3, grid=SMALL_GRID), folds=3) == k
-    assert gathered == [(20, 5, 4)] * 3
+    assert aligned == [(20, 5, 4)] * 3
 
 
-def test_predict_gathers_a_wide_batch_into_the_same_bits():
+def _wide_case(seed):
     # several gather blocks of a serve-shaped batch, then a partial one
     shape = (32, 16, 20)
     rows = tensor.GATHER_BYTES // (8 * int(np.prod(shape)))
-    rng = np.random.default_rng(21)
+    rng = np.random.default_rng(seed)
     x = rng.standard_normal((3 * rows + 7,) + shape)
     model = bttr.BttrModel(blocks=[], w=rng.standard_normal((int(np.prod(shape)), 8)),
                            z=rng.standard_normal((8, 2)), input_shape=shape)
-    assert predict(model, x).tobytes() == (_unfold(x, 1) @ model.w @ model.z).tobytes()
+    return model, x
+
+
+def test_predict_meets_a_wide_batch_in_its_own_order():
+    model, x = _wide_case(21)
+    ref = _unfold(x, 1) @ model.w @ model.z
+    assert np.max(np.abs(predict(model, x) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # a batch of at most GATHER_BYTES is the unfolded product, bit for bit
+    small = x[:tensor.GATHER_BYTES // (x.nbytes // x.shape[0])]
+    assert predict(model, small).tobytes() == (_unfold(small, 1) @ model.w @ model.z).tobytes()
+
+
+def test_a_wide_predict_copies_no_part_of_its_batch():
+    # the parent's block gather peaked at 1.40x the batch; what is left is
+    # the finiteness scan's boolean mask, an eighth of it
+    model, x = _wide_case(23)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        predict(model, x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.3 * x.nbytes
 
 
 def test_select_k_cv_fold_validation():
@@ -491,6 +514,22 @@ def test_norm_stats_round_trip():
     assert np.allclose(xn.mean(axis=0), 0.0, atol=1e-12)
     assert np.allclose(xn.std(axis=0), 1.0, atol=1e-12)
     assert np.allclose(ns.invert_y(yn), y, atol=1e-12)
+
+
+@pytest.mark.parametrize("x_shape, y_shape", [((5, 1, 3), (5, 2)), ((5, 4, 1), (5, 2)), ((5, 12), (5, 2)),
+                                              ((5, 4, 3), (5, 1)), ((5, 4, 3), (5, 3))])
+def test_norm_stats_refuse_a_shape_they_would_broadcast(x_shape, y_shape):
+    # (5, 1, 3) under (4, 3) statistics would broadcast to (5, 4, 3), and one
+    # response under two to two responses
+    rng = np.random.default_rng(16)
+    ns = NormStats.from_training(rng.normal(size=(30, 4, 3)), rng.normal(size=(30, 2)))
+    x, y = rng.normal(size=x_shape), rng.normal(size=y_shape)
+    if x_shape[1:] != (4, 3):
+        with pytest.raises(ValueError, match="feature shape"):
+            ns.apply_x(x)
+    if y_shape[1] != 2:
+        with pytest.raises(ValueError, match="response"):
+            ns.apply_y(y)
 
 
 def test_materialize_predictor_empty_blocks():

@@ -83,6 +83,23 @@ def test_fit_and_predict_round_trip(tmp_path):
     assert len(rows) == 51
 
 
+def test_predict_refuses_raw_data_the_statistics_would_broadcast(tmp_path, capsys):
+    # (n, 1, 3) under a normalized 4x3 model broadcast to (n, 4, 3) and
+    # predicted with exit 0, while predict refuses the same raw array
+    data = tmp_path / "data.npz"
+    run_cli("synth", "--out", str(data), "--shape", "30x4x3", "--blocks", "1", "--seed", "3")
+    out = tmp_path / "run"
+    assert run_cli("fit", "--data", str(data), "--blocks", "1", "--grid-snr", "30:30:1",
+                   "--grid-tau", "100:100:1", "--out", str(out)) == 0
+    thin = tmp_path / "thin.npz"
+    np.savez(thin, x=np.ones((6, 1, 3)), y=np.ones((6, 1)))
+    capsys.readouterr()
+    assert run_cli("predict", "--model", str(out / "model.fbttr"), "--data", str(thin),
+                   "--out", str(tmp_path / "pred.csv")) == EXIT_DATA
+    assert "feature shape" in capsys.readouterr().err
+    assert not (tmp_path / "pred.csv").exists()
+
+
 @pytest.mark.parametrize("cv", [False, True], ids=["fixed-k", "cv"])
 def test_fit_writes_the_model_of_the_shared_preparation(tmp_path, cv):
     data = tmp_path / "data.npz"

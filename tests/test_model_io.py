@@ -156,6 +156,17 @@ def test_normalization_must_fit_the_header(field):
         model_from_bytes(model_to_bytes(model))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["w", "z", "x_mean", "x_std", "y_mean", "y_std"])
+def test_non_finite_predictor_or_normalization_rejected(field, value):
+    # such a model loaded and predicted NaN
+    model, _ = fitted_model(with_norm=True)
+    owner = model if field in ("w", "z") else model.normalization
+    getattr(owner, field).flat[0] = value
+    with pytest.raises(ModelFormatError, match="NaN or inf"):
+        model_from_bytes(model_to_bytes(model))
+
+
 @lru_cache(maxsize=1)
 def normalized_model_bytes() -> bytes:
     return model_to_bytes(fitted_model(with_norm=True)[0])

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from fbttr import tensor
 from fbttr.tensor import (
+    _aligned,
     _multilinear_product,
-    _sample_matrix,
     _unfold,
     as_tensor,
     cross_covariance,
@@ -430,24 +430,28 @@ def test_unchecked_unfold_equals_moveaxis_reshape(case):
 @pytest.mark.parametrize("order", [2, 3, 4, 5])
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_sample_matrix_is_the_mode1_unfolding_byte_for_byte(order, size, data):
+def test_aligned_batch_times_its_matrix_is_the_unfolded_product(order, size, data):
     # GATHER_BYTES is set so that a block holds b samples
     features = tuple(data.draw(st.lists(st.integers(1, 4), min_size=order - 1, max_size=order - 1)))
     row_bytes = 8 * int(np.prod(features))
     b = data.draw(st.integers(2, 5))
     gather_bytes = b * row_bytes + data.draw(st.integers(0, row_bytes - 1))
     n = {"1": 1, "b-1": b - 1, "b": b, "b+1": b + 1, "2b+1": 2 * b + 1}[size]
-    x = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal((n,) + features)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n,) + features)
+    w = rng.standard_normal((int(np.prod(features)), data.draw(st.integers(1, 3))))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tensor, "GATHER_BYTES", gather_bytes)
-        got = _sample_matrix(x)
-    expected = _unfold(x, 1)
+        u, v = _aligned(x, w)
+    expected = _unfold(x, 1) @ w
+    got = u @ v
     assert got.shape == expected.shape
-    # F-contiguous when unfolding copies; a C-contiguous view when at most
-    # one feature extent exceeds 1
-    assert got.flags.f_contiguous == expected.flags.f_contiguous
-    assert got.flags.c_contiguous == expected.flags.c_contiguous
-    assert got.tobytes() == expected.tobytes()
+    if n > b and sum(e > 1 for e in features) >= 2:  # wide: x in its own order
+        assert np.shares_memory(u, x) and u.shape == (n, x.size // n)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+    else:  # the unfolding and w themselves: the same BLAS call
+        assert v is w and u.strides == _unfold(x, 1).strides
+        assert got.tobytes() == expected.tobytes()
 
 
 def _traced_peak(fn) -> int:
