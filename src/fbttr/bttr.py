@@ -109,7 +109,10 @@ class NormStats:
         return (y - self.y_mean) / self.y_std
 
     def invert_y(self, scores) -> np.ndarray:
-        return as_matrix(scores) * self.y_std + self.y_mean
+        scores = as_matrix(scores)
+        if scores.shape[1:] != self.y_mean.shape:
+            raise ValueError(f"{scores.shape[1]} score column(s) do not match the statistics' {self.y_mean.shape[0]}")
+        return scores * self.y_std + self.y_mean
 
 
 @dataclass

@@ -20,12 +20,12 @@ Layout (all integers little-endian):
 Encoding of arrays, matrices, tensors and blocks follows :mod:`fbttr.binio`.
 A header without a feature mode or with an empty one, normalization
 arrays or a block (see :meth:`fbttr.bttr.Block.fits`) that do not match
-the feature shape and response count, and a NaN or inf in ``w``, ``z`` or
-the normalization arrays make a file invalid.  ``w`` and
-``z`` are stored although :func:`fbttr.bttr.materialize_predictor`
-derives them from the blocks: on an 8-block rank-(10,10,10) model over
-32x16x20 features, deriving them takes about 4 ms and parsing them about
-0.6 ms.
+the feature shape and response count, a NaN or inf in ``w``, ``z`` or
+the normalization arrays, and an ``x_std`` or ``y_std`` entry <= 0 make a
+file invalid.  ``w`` and ``z`` are stored although
+:func:`fbttr.bttr.materialize_predictor` derives them from the blocks: on
+an 8-block rank-(10,10,10) model over 32x16x20 features, deriving them
+takes about 4 ms and parsing them about 0.6 ms.
 Files of other versions, ``FBTTRv01`` included, are rejected.
 """
 
@@ -110,6 +110,8 @@ def model_from_bytes(data: bytes) -> BttrModel:
         raise ModelFormatError(f"W {w.shape} or Z {z.shape} does not fit the header")
     if not all(np.isfinite(a).all() for a in [w, z] + stats):
         raise ModelFormatError("W, Z or the normalization holds NaN or inf")
+    if stats and not all((a > 0).all() for a in stats[1::2]):
+        raise ModelFormatError("the normalization holds a standard deviation <= 0")
     for k, b in enumerate(blocks, 1):
         if not b.fits(input_shape, n_responses):
             raise ModelFormatError(f"block {k} does not fit the header")

@@ -416,14 +416,15 @@ def bic_score(c, result: SparseTuckerResult) -> float:
     """Information criterion: log residual over core size plus a sparsity penalty.
 
     The penalty weighs the count of nonzero core entries by log(s)/s where
-    s is the total core entry count; the residual is floored at 1e-12 so a
-    perfect reconstruction stays finite.  Nothing is checked: a core that
+    s is the total core entry count; the residual is floored at 1e-12 of
+    ||c|| so a perfect reconstruction stays finite, and scaling ``c`` by a
+    power of two shifts every cell's BIC alike.  Nothing is checked: a core that
     turned non-finite gives a BIC that is not finite, which :func:`ace` skips.
     """
     resid = _frobenius_norm(c - result.reconstruct())
     s = result.core.size
     df = int(np.count_nonzero(result.core))
-    return math.log(max(resid, 1e-12) / s) + (math.log(s) / s) * df
+    return math.log(max(resid, 1e-12 * _frobenius_norm(c)) / s) + (math.log(s) / s) * df
 
 
 def collapse_response_mode(res: SparseTuckerResult) -> SparseTuckerResult:

@@ -1,6 +1,11 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
+from test_golden import GOLDEN, make_golden
 
+from fbttr import tensor
 from fbttr.bttr import FitConfig, fit, predict
 from fbttr.data import (
     CsvSchema,
@@ -14,7 +19,7 @@ from fbttr.data import (
     save_npz,
 )
 from fbttr.sparse_tucker import HyperGrid
-from fbttr.tensor import frobenius_norm
+from fbttr.tensor import frobenius_norm, multilinear_product
 
 
 def write_csv(path, text):
@@ -175,11 +180,99 @@ def test_synthetic_infeasible_ranks():
         make_synthetic((20, 3), n_blocks=4, seed=0)
 
 
-def test_synthetic_noise_level_matches_requested_snr():
-    ds, truth = make_synthetic((200, 6, 5), n_blocks=1, noise_snr_db=20.0, seed=1)
-    noise = ds.x - truth.x_clean
-    snr = 20.0 * np.log10(frobenius_norm(truth.x_clean) / frobenius_norm(noise))
+@pytest.mark.parametrize("gather_bytes", [tensor.GATHER_BYTES, 16 << 10], ids=["one-block", "wide"])
+def test_synthetic_noise_level_matches_requested_snr(monkeypatch, gather_bytes):
+    # the clean signal is the noiseless set of the same seed; a 46.9 KiB set
+    # in 16 KiB blocks adds its noise block by block
+    monkeypatch.setattr(tensor, "GATHER_BYTES", gather_bytes)
+    ds, _ = make_synthetic((200, 6, 5), n_blocks=1, noise_snr_db=20.0, seed=1)
+    clean, _ = make_synthetic((200, 6, 5), n_blocks=1, noise_snr_db=None, seed=1)
+    noise = ds.x - clean.x
+    snr = 20.0 * np.log10(frobenius_norm(clean.x) / frobenius_norm(noise))
     assert snr == pytest.approx(20.0, abs=1e-9)
+
+
+def reference_synthetic(shape, n_blocks, noise_snr_db, seed, ranks=None):
+    """(x, y) of the generator as it was before it built a wide set in place:
+    whole-array sums of the planted blocks, then ``clean + scale * noise``
+    from a noise array of its own.  Frozen here as the bit reference."""
+    rng = np.random.default_rng(seed)
+    n, feature_shape = shape[0], shape[1:]
+    ranks = ranks or (1,) * len(feature_shape)
+
+    def columns(rows, cols):
+        return np.linalg.qr(rng.normal(size=(rows, cols)))[0]
+
+    t_all = columns(n, n_blocks)
+    bases = [columns(ext, n_blocks * r) for ext, r in zip(feature_shape, ranks)]
+    q = columns(1, 1)
+    x_clean, y_clean = np.zeros(shape), np.zeros((n, 1))
+    for k in range(n_blocks):
+        t = t_all[:, k:k + 1]
+        core = rng.normal(size=(1,) + ranks)
+        core *= 2.0 * 0.7**k / frobenius_norm(core)
+        modes = {i + 2: b[:, k * r:(k + 1) * r] for i, (b, r) in enumerate(zip(bases, ranks))}
+        x_clean += multilinear_product(core, {1: t, **modes})
+        y_clean = y_clean + 3.0 * 0.8**k * (t @ q.T)
+    if noise_snr_db is None:
+        return x_clean, y_clean
+
+    def noisy(clean):
+        noise = rng.normal(size=clean.shape)
+        noise *= frobenius_norm(clean) / (frobenius_norm(noise) * 10.0 ** (noise_snr_db / 20.0))
+        noise += clean
+        return noise
+
+    return noisy(x_clean), noisy(y_clean)
+
+
+# (shape, planted blocks, ranks, SNR in dB, seed): the benchmark's desk-fit and
+# federation sets, a 9.4 MiB serve-shaped set, criterion 8's set and the golden sets
+SYNTHETIC_SETS = {
+    "desk-fit": ((500, 12, 8, 6), 3, (2, 2, 2), 20.0, 1),
+    "federation": ((500, 12, 12), 2, None, 20.0, 1),
+    "serve-shaped": ((120, 32, 16, 20), 8, (2, 2, 2), 20.0, 1),
+    "criterion-8": ((1000, 20, 8, 10), 3, (2, 2, 2), 20.0, 7),
+    "golden-centralized": ((60, 6, 5, 4), 2, (2, 2, 2), 10.0, 11),
+    "golden-federation": ((90, 5, 4, 3), 2, (2, 2, 1), 10.0, 12),
+    "golden-block-path": ((400, 6, 5, 4), 2, (2, 2, 2), 10.0, 13),
+}
+
+
+@pytest.mark.parametrize("gather_bytes", [tensor.GATHER_BYTES, 256 << 10], ids=["4MiB", "256KiB"])
+@pytest.mark.parametrize("noisy", [True, False], ids=["noisy", "noiseless"])
+@pytest.mark.parametrize("name", list(SYNTHETIC_SETS))
+def test_synthetic_set_has_the_whole_array_bits(monkeypatch, name, noisy, gather_bytes):
+    # a set above GATHER_BYTES is built and noised one sample block at a time;
+    # on the fingerprint the golden fixtures were made on, these sets' block-wise
+    # products round as the whole ones do, which not every rank-2 shape's does
+    shape, n_blocks, ranks, snr, seed = SYNTHETIC_SETS[name]
+    snr = snr if noisy else None
+    monkeypatch.setattr(tensor, "GATHER_BYTES", gather_bytes)
+    ds, _ = make_synthetic(shape, n_blocks=n_blocks, ranks=ranks, noise_snr_db=snr, seed=seed)
+    x, y = reference_synthetic(shape, n_blocks, snr, seed, ranks)
+    recorded = json.loads((GOLDEN / "golden.json").read_text())["fingerprint"]
+    if make_golden.fingerprint() == recorded:
+        assert ds.x.tobytes() == x.tobytes() and ds.y.tobytes() == y.tobytes()
+    else:
+        assert np.max(np.abs(ds.x - x)) <= 1e-15 * np.max(np.abs(x))
+        assert np.max(np.abs(ds.y - y)) <= 1e-15 * np.max(np.abs(y))
+
+
+@pytest.mark.parametrize("gather_bytes", [tensor.GATHER_BYTES, 256 << 10], ids=["4MiB", "256KiB"])
+def test_a_wide_synthetic_set_holds_one_data_sized_array(monkeypatch, gather_bytes):
+    # serve's 23.4 MiB training shape peaked at 2.18x its x (2.15x in 256 KiB
+    # blocks) when its clean signal and its noise were separate arrays, and
+    # now at 1.31x (1.21x): x, one planted block's head (0.1x) and one sample
+    # block's product
+    monkeypatch.setattr(tensor, "GATHER_BYTES", gather_bytes)
+    tracemalloc.start()
+    try:
+        ds, _ = make_synthetic((300, 32, 16, 20), n_blocks=8, ranks=(2, 2, 2), noise_snr_db=20.0, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.35 * ds.x.nbytes
 
 
 def test_synthetic_two_block_recovery_end_to_end():

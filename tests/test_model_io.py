@@ -167,6 +167,17 @@ def test_non_finite_predictor_or_normalization_rejected(field, value):
         model_from_bytes(model_to_bytes(model))
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0], ids=["zero", "negative"])
+@pytest.mark.parametrize("field", ["x_std", "y_std"])
+def test_non_positive_standard_deviation_rejected(field, value):
+    # such a model loaded, and predict then blamed the input for the NaN
+    # its own statistics made
+    model, _ = fitted_model(with_norm=True)
+    getattr(model.normalization, field).flat[0] = value
+    with pytest.raises(ModelFormatError, match="standard deviation"):
+        model_from_bytes(model_to_bytes(model))
+
+
 @lru_cache(maxsize=1)
 def normalized_model_bytes() -> bytes:
     return model_to_bytes(fitted_model(with_norm=True)[0])

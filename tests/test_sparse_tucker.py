@@ -435,7 +435,8 @@ def test_bic_perfect_fit_hits_floor():
     res = SparseTuckerResult(core=core, q=mats[0], factors=mats[1:])
     got = bic_score(c, res)
     s, df = 4, 4
-    expected = math.log(1e-12 / s) + (math.log(s) / s) * df
+    # the floor is relative: 1e-12 of ||c||, far above this fit's rounding residual
+    expected = math.log(1e-12 * frobenius_norm(c) / s) + (math.log(s) / s) * df
     assert got == pytest.approx(expected, abs=1e-9)
 
 
